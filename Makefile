@@ -1,12 +1,13 @@
 # Pre-merge gate: everything here must pass before a change lands.
 # `make check` is what CI would run — vet, build, the full test suite
-# under the race detector, and a seed pass of the fuzz targets.
+# under the race detector, a seed pass of the fuzz targets, and the
+# benchmark's smoke test.
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz-seed fuzz
+.PHONY: check vet build test race fuzz-seed fuzz bench-smoke
 
-check: vet build race fuzz-seed
+check: vet build race fuzz-seed bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -52,6 +53,13 @@ soak:
 .PHONY: serve-soak
 serve-soak:
 	$(GO) test -race -count=1 -run 'TestServeSoak' ./cmd/rexload
+
+# The benchmark's smoke test: every workload at 1/50 size against a real
+# rexd. bench/ is a module of its own, so `go test ./...` never reaches
+# it; this target is what makes drift in the internal calls of
+# bench/layers.go fail the gate.
+bench-smoke:
+	$(GO) test -C bench -count=1 .
 
 # Open-ended fuzzing of the wire parser; override FUZZTIME for longer runs.
 FUZZTIME ?= 30s

@@ -71,7 +71,9 @@ func openDurability(dir string, fsync journal.FsyncPolicy, window time.Duration,
 	// delivering events concurrently, and a checkpoint seed arriving
 	// after a live event for the same route key is by definition stale —
 	// the recovery span makes the pipeline drop it instead of letting it
-	// resurrect an overwritten or withdrawn route.
+	// resurrect an overwritten or withdrawn route. The span also makes
+	// the replay's snapshot triggers coalesce into one snapshot of the
+	// recovered state, emitted at EndRecovery.
 	p.BeginRecovery()
 	defer p.EndRecovery()
 

@@ -65,6 +65,25 @@ func waitHTTP(t *testing.T, url string, wantStatus int, timeout time.Duration) {
 	t.Fatalf("timed out waiting for %s to return %d (last: %s)", url, wantStatus, last)
 }
 
+// waitTCP waits until addr accepts a TCP connection. rexd binds its
+// serve tier before journal recovery and its BGP listener after it, so
+// a healthy /healthz does not yet mean the BGP port is open.
+func waitTCP(t *testing.T, addr string, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		c, err := net.DialTimeout("tcp", addr, time.Second)
+		if err == nil {
+			c.Close()
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s to accept connections: %v", addr, err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
 // scrape fetches the child's /metrics.json.
 func scrape(t *testing.T, base string) map[string]any {
 	t.Helper()
@@ -148,6 +167,7 @@ func TestServeSoak(t *testing.T) {
 		return cmd
 	}
 	runSim := func() {
+		waitTCP(t, bgpAddr, 30*time.Second)
 		cmd := exec.Command(bgpsim, "-scenario", "flap", "-flaps", "3", "-gap", "2ms", "-replay", bgpAddr)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("bgpsim: %v\n%s", err, out)
@@ -191,7 +211,7 @@ func TestServeSoak(t *testing.T) {
 		t.Fatalf("rex_serve_snapshot_seq = %v, want >= 1 after feeding", seq)
 	}
 	var hits, renders float64
-	for _, format := range []string{"svg", "json", "components"} {
+	for _, format := range []string{"svg", "json", "snapshot", "components"} {
 		r := mVec(m, "rex_serve_renders_total", format)
 		h := mVec(m, "rex_serve_cache_hits_total", format)
 		renders += r
@@ -216,8 +236,9 @@ func TestServeSoak(t *testing.T) {
 	time.Sleep(1 * time.Second) // swarm sees the outage window
 
 	// Phase 3: restart with the journal intact. Recovery replays the
-	// journal through the pipeline, which re-publishes live snapshots —
-	// so the node comes back READY on its own, and reads answer 200
+	// journal through the pipeline, which publishes one coalesced
+	// snapshot of the recovered state at the end of the replay — so the
+	// node comes back READY on its own, and reads answer 200
 	// throughout (possibly stale for the brief replay window, which the
 	// swarm may or may not catch — both are correct).
 	node = startRexd()

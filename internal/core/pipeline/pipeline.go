@@ -245,13 +245,14 @@ func (p *Pipeline) TryIngest(e event.Event) bool {
 // Seed feeds one recovered table entry, blocking like Ingest. Seed
 // events rebuild the TAMP shadow RIB (routing state NOW) from a
 // checkpoint without entering the sliding window or advancing the
-// event-time clock, so recovery does not fire tick/spike triggers for
-// state that predates the replay tail.
+// event-time clock, so a seed never makes a tick or spike trigger fall
+// due.
 //
 // Checkpoint state is by definition older than any event a live session
 // delivers while recovery runs — bracket the seed+replay span with
 // BeginRecovery/EndRecovery so a seed arriving after a live event for
-// the same (router, prefix) cannot resurrect the stale route.
+// the same (router, prefix) cannot resurrect the stale route, and so the
+// replay's triggers coalesce into one snapshot.
 func (p *Pipeline) Seed(e event.Event) {
 	select {
 	case p.events <- msg{e: e, seed: true}:
@@ -259,12 +260,19 @@ func (p *Pipeline) Seed(e event.Event) {
 	}
 }
 
-// BeginRecovery marks the start of a recovery span: until EndRecovery,
-// the engine tracks which (router, prefix) route keys live events have
-// touched, and drops any Seed for a touched key as stale (counted in
-// rex_pipeline_seed_stale_total). The mark travels in-band through the
-// ingest channel, so "before" and "after" mean channel order — exactly
-// the order the race between journal replay and live intake resolves in.
+// BeginRecovery marks the start of a recovery span. Until EndRecovery:
+//
+//   - the engine tracks which (router, prefix) route keys live events
+//     have touched, and drops any Seed for a touched key as stale
+//     (counted in rex_pipeline_seed_stale_total);
+//   - tick and spike triggers advance the trigger state exactly as
+//     outside a span, but emit nothing: the engine remembers only the
+//     last trigger that fell due, and EndRecovery emits one snapshot
+//     for all of them.
+//
+// The mark travels in-band through the ingest channel, so "before" and
+// "after" mean channel order — exactly the order the race between
+// journal replay and live intake resolves in.
 func (p *Pipeline) BeginRecovery() {
 	select {
 	case p.events <- msg{ctrl: ctrlBeginRecovery}:
@@ -273,8 +281,11 @@ func (p *Pipeline) BeginRecovery() {
 }
 
 // EndRecovery closes the span opened by BeginRecovery and releases the
-// touched-key tracking. Seeds outside a recovery span apply
-// unconditionally, as before.
+// touched-key tracking. A recovery span emits at most one snapshot, of
+// the recovered state, carrying the last trigger that fell due inside
+// it (its Spike too, if that trigger was a spike); if none fell due —
+// the silent replay of TriggerState — it emits nothing. Seeds outside a
+// recovery span apply unconditionally.
 func (p *Pipeline) EndRecovery() {
 	select {
 	case p.events <- msg{ctrl: ctrlEndRecovery}:
@@ -290,11 +301,14 @@ func (p *Pipeline) EndRecovery() {
 // cadence of the run that died.
 //
 // The silent-replay contract: restore a captured state FIRST, then
-// re-process the events that originally led up to the capture point.
-// None of them advances the restored clock (each event's time is at or
-// below it), so no tick or spike trigger can fire during the replay —
-// the rebuild emits nothing — and the first genuinely new event resumes
-// triggers mid-cadence, exactly where the dead run left them.
+// re-process the events that originally led up to the capture point
+// inside a BeginRecovery/EndRecovery span. None of them advances the
+// restored clock (each event's time is at or below it), so no tick or
+// spike trigger falls due during the replay — the span emits nothing —
+// and the first genuinely new event resumes triggers mid-cadence,
+// exactly where the dead run left them. Without a restored state, the
+// triggers a replay crosses still advance this state as in the
+// uninterrupted run; the span coalesces their snapshots into one.
 type TriggerState struct {
 	// Clock is the newest event time the pipeline had seen.
 	Clock time.Time
@@ -307,11 +321,12 @@ type TriggerState struct {
 	LastSpike time.Time
 	// Emitted counts snapshots this pipeline instance has handed to the
 	// Snapshots() consumer so far (the TriggerFinal close-out snapshot
-	// excluded). It is process-local — RestoreTriggers resets it to
-	// zero, and a silent replay emits nothing — so a consumer that
-	// persists snapshots as they arrive can compare it against its own
-	// sink count to know whether everything a TriggerQuery cut covers
-	// has already been written out.
+	// excluded; a recovery span's coalesced snapshot counts once). It is
+	// process-local — a restarted pipeline counts from zero
+	// (RestoreTriggers leaves it alone), and a silent replay emits
+	// nothing — so a consumer that persists snapshots as they arrive can
+	// compare it against its own sink count to know whether everything
+	// a TriggerQuery cut covers has already been written out.
 	Emitted uint64
 }
 
@@ -544,6 +559,11 @@ type state struct {
 	// route keys live events have touched, which stale seeds must not
 	// overwrite. Nil outside a span — zero cost on the steady path.
 	liveTouched map[routeKey]struct{}
+	// due and dueSpike are the last trigger that fell due inside the
+	// open recovery span (due == 0: none yet). The span's triggers
+	// coalesce: EndRecovery emits one snapshot carrying this trigger.
+	due      Trigger
+	dueSpike *event.Spike
 
 	// routers caches the string form of every peer address seen, so the
 	// steady path renders each address exactly once instead of per event.
@@ -574,6 +594,10 @@ func (st *state) dispatch(m msg) {
 		st.liveTouched = make(map[routeKey]struct{})
 	case m.ctrl == ctrlEndRecovery:
 		st.liveTouched = nil
+		if st.due != 0 {
+			st.emit(st.snapshot(st.due, st.dueSpike))
+			st.due, st.dueSpike = 0, nil
+		}
 	case m.query != nil:
 		m.query <- TriggerState{
 			Clock:     st.clock,
@@ -707,7 +731,7 @@ func (st *state) process(e event.Event) {
 			st.nextTick = e.Time.Add(cfg.SnapshotEvery)
 		}
 		for !st.clock.Before(st.nextTick) {
-			st.emit(st.snapshot(TriggerTick, nil))
+			st.fire(TriggerTick, nil)
 			st.nextTick = st.nextTick.Add(cfg.SnapshotEvery)
 		}
 	}
@@ -727,8 +751,21 @@ func (st *state) checkSpikes() {
 		st.lastSpike = sp.Start
 		spike := sp
 		mSpikes.Inc()
-		st.emit(st.snapshot(TriggerSpike, &spike))
+		st.fire(TriggerSpike, &spike)
 	}
+}
+
+// fire emits the snapshot a trigger calls for. Inside a recovery span
+// it only records the trigger as due: a replay crossing many trigger
+// points would otherwise compute a full snapshot at each one, only for
+// the next to replace it, so the span's triggers coalesce into the one
+// snapshot of the recovered state that EndRecovery emits.
+func (st *state) fire(trig Trigger, sp *event.Spike) {
+	if st.liveTouched != nil {
+		st.due, st.dueSpike = trig, sp
+		return
+	}
+	st.emit(st.snapshot(trig, sp))
 }
 
 // snapshot assembles the full analysis of the current window. The

@@ -139,12 +139,14 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key renderK
 	w.Write(data)
 }
 
-// handleSnapshot serves the full snapshot JSON. The stale flag is part
-// of the body, so it participates in the cache key: a given snapshot
-// version has at most two JSON renderings (fresh and degraded), and in
-// practice one.
+// handleSnapshot serves the full snapshot JSON. Its format key is
+// "snapshot", not "json": that one is /api/picture.json's, and a shared
+// key would serve whichever document was rendered first at a seq for
+// both. The stale flag is part of the body, so it participates in the
+// cache key: a given snapshot version has at most two renderings (fresh
+// and degraded), and in practice one.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, cur *published, h healthState) {
-	key := renderKey{seq: cur.seq, format: "json", stale: h.stale}
+	key := renderKey{seq: cur.seq, format: "snapshot", stale: h.stale}
 	s.serveCached(w, r, key, func() ([]byte, string, error) {
 		v := cur.stampedView(h)
 		b, err := json.MarshalIndent(&v, "", "  ")

@@ -225,6 +225,55 @@ func TestConditionalRequests(t *testing.T) {
 	}
 }
 
+// TestSnapshotAndPictureJSONDistinct pins the render-cache keys of the
+// two JSON documents: at one snapshot version, /api/snapshot and
+// /api/picture.json must each serve their own body and their own ETag,
+// whichever is asked first.
+func TestSnapshotAndPictureJSONDistinct(t *testing.T) {
+	kind := func(body []byte) string {
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(body, &doc); err != nil {
+			return "unparsable"
+		}
+		_, seq := doc["seq"]
+		_, comps := doc["components"]
+		_, edges := doc["edges"]
+		switch {
+		case seq && comps:
+			return "snapshot"
+		case edges && !seq:
+			return "picture"
+		}
+		return "unknown"
+	}
+	want := map[string]string{"/api/snapshot": "snapshot", "/api/picture.json": "picture"}
+	for _, order := range [][]string{
+		{"/api/snapshot", "/api/picture.json"},
+		{"/api/picture.json", "/api/snapshot"},
+	} {
+		s := New(Config{})
+		ts := httptest.NewServer(s.Handler())
+		s.Publish(testSnap(1), nil)
+		waitSeq(t, s, 1)
+		etags := map[string]string{}
+		for _, path := range order {
+			resp, body := get(t, ts.URL+path)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s = %d", path, resp.StatusCode)
+			}
+			if got := kind(body); got != want[path] {
+				t.Errorf("%s after %v: body is a %s document, want %s", path, order[0], got, want[path])
+			}
+			etags[path] = resp.Header.Get("ETag")
+		}
+		if a, b := etags["/api/snapshot"], etags["/api/picture.json"]; a == "" || a == b {
+			t.Errorf("order %v: ETags %q and %q, want two distinct ones", order, a, b)
+		}
+		ts.Close()
+		s.Close()
+	}
+}
+
 // TestSingleFlightRenders is the cache guarantee: any number of
 // concurrent readers of one snapshot version cost exactly one render
 // per format.
