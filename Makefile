@@ -28,11 +28,13 @@ fuzz-seed:
 
 # The hottest concurrent paths, twice, under the race detector: session
 # handling, the dial loop, the sharded streaming window, the parallel
-# analysis engine (pipeline worker pool + TAMP shard merge), and the
-# journal's crash harness (SIGKILL + torn-tail recovery).
+# analysis engine (pipeline worker pool + TAMP shard merge), the
+# journal's crash harness (SIGKILL + torn-tail recovery), and rexd,
+# whose intake drainer appends to the journal store while the main loop
+# checkpoints it.
 .PHONY: race-hot
 race-hot:
-	$(GO) test -race -count=2 ./internal/collector ./internal/bgp/fsm ./internal/core/pipeline ./internal/core/stemming ./internal/core/tamp ./internal/journal ./internal/relay ./internal/serve
+	$(GO) test -race -count=2 ./internal/collector ./internal/bgp/fsm ./internal/core/pipeline ./internal/core/stemming ./internal/core/tamp ./internal/journal ./internal/relay ./internal/serve ./cmd/rexd
 
 # The fleet soak: collector subprocesses SIGKILLed round-robin while
 # relaying to one analysis node, final output required byte-identical

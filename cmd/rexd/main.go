@@ -17,8 +17,8 @@
 // and a restarted daemon recovers — newest valid checkpoint, journal
 // tail replayed through the pipeline, live collection resumed — ending
 // up where an uninterrupted run would be. -overload picks what happens
-// when ingest outruns analysis: block (lossless), shed (drop and
-// count), or spill (journal everything, shed only the analysis copy).
+// when ingest outruns analysis: block (lossless) or shed (drop and
+// count).
 //
 // With -metrics-addr the daemon serves its internals over HTTP:
 // /metrics (Prometheus text), /metrics.json, /healthz, and
@@ -109,7 +109,7 @@ func run(args []string) error {
 		journalDir  = fs.String("journal-dir", "", "durable event journal + checkpoint directory; on start, recover state from it; with -relay-listen it holds the merged stream and feed cursors (empty disables)")
 		ckptEvery   = fs.Duration("checkpoint-every", 5*time.Minute, "checkpoint the collector tables (or, with -relay-listen, the receiver cursors) this often when -journal-dir is set (0 = final checkpoint only; the analysis node falls back to its 30s default)")
 		fsyncFlag   = fs.String("fsync", "interval", "journal fsync policy: always, interval or never")
-		overload    = fs.String("overload", "block", "intake overload policy: block (lossless, may stall sessions), shed (never blocks, drops at a full queue) or spill (never blocks, journals everything, sheds only the analysis copy)")
+		overload    = fs.String("overload", "block", "intake overload policy: block (lossless, may stall sessions) or shed (never blocks, drops at a full queue)")
 		workers     = fs.Int("workers", 0, "analysis worker goroutines; snapshots are byte-identical at any value (0 = GOMAXPROCS, 1 = sequential)")
 		relayTo     = fs.String("relay-to", "", "stream the journal to a central analysis node at this address (requires -journal-dir; resumes from the node's ack after restarts)")
 		feedIDFlag  = fs.String("feed-id", "", "stable feed identity for -relay-to (default: the -id address)")
@@ -287,7 +287,7 @@ func run(args []string) error {
 			// than now" and keep the analysis node's gate open.
 			IdleWatermark: time.Now,
 		})
-		dur.setRelay(feed.Wake, feed.Acked)
+		dur.feed.Store(feed)
 		go feed.Run()
 		obs.Logf(obs.Info, "rexd", "relaying journal to %s as feed %q", *relayTo, fid)
 	}
@@ -411,7 +411,7 @@ loop:
 		// relaying it. Against a durable analysis node acks lag its
 		// checkpoint cadence, so hitting the deadline is normal there —
 		// the tail is simply resent on the next connect.
-		head := dur.w.NextSeq()
+		head := dur.st.NextSeq()
 		deadline := time.Now().Add(5 * time.Second)
 		for feed.Acked() < head && time.Now().Before(deadline) {
 			feed.Wake()

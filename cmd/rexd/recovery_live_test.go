@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,7 +184,7 @@ func TestJournalRecoveryAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	in1 = pipeline.NewIntake(pipeline.IntakeConfig{
-		Policy: pipeline.OverloadSpill, Journal: dur1.journalEvent,
+		Policy: pipeline.OverloadBlock, Journal: dur1.journalEvent,
 	}, p1)
 
 	h := newSpeaker(t, c1, 0)
@@ -196,7 +197,7 @@ func TestJournalRecoveryAcrossRestart(t *testing.T) {
 		}
 	}
 	waitFor(t, 10*time.Second, "first batch installed", func() bool { return c1.NumRoutes() == firstBatch })
-	waitFor(t, 10*time.Second, "first batch journaled", func() bool { return dur1.w.NextSeq() >= firstBatch })
+	waitFor(t, 10*time.Second, "first batch journaled", func() bool { return dur1.st.NextSeq() >= firstBatch })
 	// The periodic checkpoint fires between the batches.
 	if err := dur1.checkpoint(c1); err != nil {
 		t.Fatal(err)
@@ -214,7 +215,7 @@ func TestJournalRecoveryAcrossRestart(t *testing.T) {
 		}
 	}
 	waitFor(t, 10*time.Second, "second batch installed", func() bool { return c1.NumRoutes() == total })
-	waitFor(t, 10*time.Second, "second batch journaled", func() bool { return dur1.w.NextSeq() >= total })
+	waitFor(t, 10*time.Second, "second batch journaled", func() bool { return dur1.st.NextSeq() >= total })
 
 	// The crash: stop the sessions, drain the intake into the journal,
 	// and abandon everything else. Deliberately NO final checkpoint —
@@ -224,7 +225,7 @@ func TestJournalRecoveryAcrossRestart(t *testing.T) {
 	// process's would not.
 	h.close()
 	in1.Close()
-	if err := dur1.w.Close(); err != nil {
+	if err := dur1.st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	c1.Close()
@@ -252,7 +253,7 @@ func TestJournalRecoveryAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dur2.w.Close()
+	defer dur2.st.Close()
 
 	// The checkpoint covered the first batch; the journal tail replays
 	// everything the hour-long analysis window still needs.
@@ -265,8 +266,8 @@ func TestJournalRecoveryAcrossRestart(t *testing.T) {
 	if dur2.replayed != total {
 		t.Errorf("replayed %d journaled events, want %d", dur2.replayed, total)
 	}
-	if dur2.w.NextSeq() != total {
-		t.Errorf("resumed journal at seq %d, want %d", dur2.w.NextSeq(), total)
+	if dur2.st.NextSeq() != total {
+		t.Errorf("resumed journal at seq %d, want %d", dur2.st.NextSeq(), total)
 	}
 	p2.Close()
 	<-p2done
@@ -367,7 +368,7 @@ func TestRunSmokeWithJournal(t *testing.T) {
 		"-journal-dir", dir,
 		"-checkpoint-every", "50ms",
 	}
-	if err := run(append(base, "-fsync", "always", "-overload", "spill")); err != nil {
+	if err := run(append(base, "-fsync", "always", "-overload", "block")); err != nil {
 		t.Fatalf("journaled run: %v", err)
 	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.rexj"))
@@ -385,5 +386,11 @@ func TestRunSmokeWithJournal(t *testing.T) {
 	}
 	if err := run(append(base, "-overload", "drop")); err == nil {
 		t.Fatal("bad -overload accepted")
+	}
+	// spill is gone: it let the live window hold fewer events than the
+	// journal. The error names the policies that remain.
+	if err := run(append(base, "-overload", "spill")); err == nil ||
+		!strings.Contains(err.Error(), "block") || !strings.Contains(err.Error(), "shed") {
+		t.Fatalf("-overload spill: %v, want an error naming block and shed", err)
 	}
 }

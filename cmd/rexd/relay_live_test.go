@@ -45,7 +45,7 @@ func TestRelayFeedFromLiveCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	in1 = pipeline.NewIntake(pipeline.IntakeConfig{
-		Policy: pipeline.OverloadSpill, Journal: dur1.journalEvent,
+		Policy: pipeline.OverloadBlock, Journal: dur1.journalEvent,
 	}, p1)
 
 	// The analysis node's listener exists (so the feed's dials land in
@@ -60,7 +60,7 @@ func TestRelayFeedFromLiveCollector(t *testing.T) {
 		HeartbeatEvery: 20 * time.Millisecond, AckTimeout: 200 * time.Millisecond,
 		IdleWatermark: time.Now,
 	})
-	dur1.setRelay(feed.Wake, feed.Acked)
+	dur1.feed.Store(feed)
 	go feed.Run()
 
 	// Batch one arrives while the node is down, and a checkpoint runs
@@ -75,7 +75,7 @@ func TestRelayFeedFromLiveCollector(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 10*time.Second, "first batch journaled", func() bool { return dur1.w.NextSeq() >= firstBatch })
+	waitFor(t, 10*time.Second, "first batch journaled", func() bool { return dur1.st.NextSeq() >= firstBatch })
 	if err := dur1.checkpoint(c1); err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,9 @@ type OverloadPolicy uint8
 //   - OverloadShed: Offer never blocks; events arriving at a full
 //     queue are dropped and counted. Bounded loss, bounded memory,
 //     session never delayed.
-//   - OverloadSpill: Offer never blocks, and the drainer hands events
-//     to the pipeline with TryIngest instead of Ingest — analysis
-//     overload sheds only the analysis copy while the journal stays
-//     complete. The queue then fills only if the journal itself (disk)
-//     falls behind, and that overflow is shed and counted like Shed.
 const (
 	OverloadBlock OverloadPolicy = iota
 	OverloadShed
-	OverloadSpill
 )
 
 // String names the policy the way the -overload flag spells it.
@@ -37,8 +31,6 @@ func (p OverloadPolicy) String() string {
 		return "block"
 	case OverloadShed:
 		return "shed"
-	case OverloadSpill:
-		return "spill"
 	default:
 		return "overload(?)"
 	}
@@ -51,10 +43,8 @@ func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
 		return OverloadBlock, nil
 	case "shed":
 		return OverloadShed, nil
-	case "spill":
-		return OverloadSpill, nil
 	default:
-		return 0, fmt.Errorf("overload policy %q: want block, shed or spill", s)
+		return 0, fmt.Errorf("overload policy %q: want block or shed", s)
 	}
 }
 
@@ -111,7 +101,7 @@ func (in *Intake) Offer(e event.Event) {
 		case in.ch <- e:
 		case <-in.quit:
 		}
-	default: // OverloadShed, OverloadSpill: never block the session
+	default: // OverloadShed: never block the session
 		select {
 		case in.ch <- e:
 		case <-in.quit:
@@ -130,8 +120,8 @@ const intakeBatchMax = 256
 // per policy. Under the block policy a backlog is coalesced — whatever
 // is already queued (up to intakeBatchMax) rides one IngestBatch, so
 // shard hand-off amortizes the per-event channel cost exactly when the
-// engine is busiest. Shed and spill stay per-event: their value is the
-// per-event drop decision, which batching would blur.
+// engine is busiest. Shed stays per-event: its value is the per-event
+// drop decision, which batching would blur.
 func (in *Intake) drain() {
 	defer close(in.done)
 	for {
@@ -187,28 +177,22 @@ collect:
 	in.p.IngestBatch(batch)
 }
 
+// deliver is the shed policy's per-event hand-off. It waits for the
+// pipeline like Block — the queue, not this send, is where shed mode
+// bounds latency — but a closing intake must not stay wedged behind a
+// stalled consumer: it falls back to a best-effort non-blocking
+// hand-off and lets the overflow shed.
 func (in *Intake) deliver(e event.Event) {
 	if in.cfg.Journal != nil {
 		if err := in.cfg.Journal(&e); err != nil {
 			mIntakeJournalErrs.Inc()
 		}
 	}
-	switch in.cfg.Policy {
-	case OverloadSpill:
+	select {
+	case in.p.events <- msg{e: e}:
+	case <-in.p.quit:
+	case <-in.quit:
 		in.p.TryIngest(e)
-	case OverloadShed:
-		// Wait for the pipeline like Block — the queue, not this send,
-		// is where shed mode bounds latency — but a closing intake must
-		// not stay wedged behind a stalled consumer: fall back to a
-		// best-effort non-blocking hand-off and let the overflow shed.
-		select {
-		case in.p.events <- msg{e: e}:
-		case <-in.p.quit:
-		case <-in.quit:
-			in.p.TryIngest(e)
-		}
-	default:
-		in.p.Ingest(e)
 	}
 }
 

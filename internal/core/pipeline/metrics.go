@@ -41,7 +41,7 @@ var (
 	mIntakeOffered = obs.NewCounter("rex_intake_offered_total",
 		"Events offered to the intake queue by collector sessions.")
 	mIntakeShed = obs.NewCounter("rex_intake_shed_total",
-		"Events shed at the intake queue because it was full (shed/spill policies).")
+		"Events shed at the intake queue because it was full (shed policy).")
 	mIntakeJournalErrs = obs.NewCounter("rex_intake_journal_errors_total",
 		"Journal append failures swallowed by the intake drainer.")
 	mIntakeBatches = obs.NewCounter("rex_intake_batches_total",

@@ -88,7 +88,7 @@ func TestRecoverFloorOnSegmentBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint64
-	st, err := Recover(dir, func(seq uint64, e *event.Event) error {
+	st, err := recoverLatest(dir, func(seq uint64, e *event.Event) error {
 		got = append(got, seq)
 		return nil
 	})
@@ -132,7 +132,7 @@ func TestRecoverFloorAtNextSeq(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Recover(dir, func(seq uint64, e *event.Event) error {
+	st, err := recoverLatest(dir, func(seq uint64, e *event.Event) error {
 		t.Fatalf("unexpected replay of seq %d", seq)
 		return nil
 	})

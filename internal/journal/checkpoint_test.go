@@ -267,7 +267,7 @@ func TestCheckpointSeedEvents(t *testing.T) {
 }
 
 func TestRecoverEmptyDirectory(t *testing.T) {
-	st, err := Recover(t.TempDir(), func(seq uint64, e *event.Event) error {
+	st, err := recoverLatest(t.TempDir(), func(seq uint64, e *event.Event) error {
 		t.Fatal("callback on empty directory")
 		return nil
 	})
@@ -295,7 +295,7 @@ func TestRecoverCheckpointWithNoTail(t *testing.T) {
 	if _, err := WriteCheckpoint(dir, ck); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Recover(dir, func(seq uint64, e *event.Event) error { return nil })
+	st, err := recoverLatest(dir, func(seq uint64, e *event.Event) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestRecoverReplaysTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seqs []uint64
-	st, err := Recover(dir, func(seq uint64, e *event.Event) error {
+	st, err := recoverLatest(dir, func(seq uint64, e *event.Event) error {
 		seqs = append(seqs, seq)
 		return nil
 	})
@@ -372,7 +372,7 @@ func TestRecoverSurvivesTornAndCorruptTail(t *testing.T) {
 	f.Close()
 
 	var got int
-	st, err := Recover(dir, func(seq uint64, e *event.Event) error {
+	st, err := recoverLatest(dir, func(seq uint64, e *event.Event) error {
 		got++
 		return nil
 	})

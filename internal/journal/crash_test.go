@@ -127,7 +127,7 @@ func TestCrashEquivalenceRandomTruncation(t *testing.T) {
 				}
 			}
 		}()
-		st, err := Recover(dir, func(seq uint64, e *event.Event) error {
+		st, err := recoverLatest(dir, func(seq uint64, e *event.Event) error {
 			p.Ingest(*e)
 			return nil
 		})
@@ -226,7 +226,7 @@ func TestCrashEquivalenceWithCheckpoint(t *testing.T) {
 
 		// First pass: discover what survived (checkpoint + tail bounds)
 		// without applying anything yet.
-		st, err := Recover(dir, func(seq uint64, e *event.Event) error { return nil })
+		st, err := recoverLatest(dir, func(seq uint64, e *event.Event) error { return nil })
 		if err != nil {
 			t.Fatalf("trial %d: recovery failed: %v", trial, err)
 		}
@@ -323,7 +323,7 @@ func TestCrashEquivalenceSIGKILL(t *testing.T) {
 				}
 			}
 		}()
-		st, err := Recover(dir, func(seq uint64, e *event.Event) error {
+		st, err := recoverLatest(dir, func(seq uint64, e *event.Event) error {
 			p.Ingest(*e)
 			return nil
 		})

@@ -6,10 +6,12 @@ import (
 
 // RecoveredState summarizes what Recover found on disk.
 type RecoveredState struct {
-	// Checkpoint is the newest intact checkpoint, or nil when the
-	// directory held none (cold start: everything rebuilds from the
-	// journal alone).
+	// Checkpoint is the checkpoint replay started from, or nil on a
+	// cold start (everything rebuilds from the journal alone).
 	Checkpoint *Checkpoint
+	// Truncated counts orphan records OpenStore discarded above the
+	// checkpoint (StoreOptions.DropOrphans).
+	Truncated uint64
 	// ReplayFrom is the sequence replay started at: the checkpoint's
 	// ReplayLow, or zero without a checkpoint.
 	ReplayFrom uint64
@@ -23,19 +25,14 @@ type RecoveredState struct {
 	Stats ScanStats
 }
 
-// Recover performs the startup sequence: load the newest valid
-// checkpoint (if any), then replay every intact journal record from its
-// replay floor through fn, in sequence order. Damage — torn tails,
-// CRC-bad records, broken framing — is skipped and counted in Stats,
-// matching the journal's never-abort policy; the caller seeds its state
-// from the checkpoint before calling, and fn applies the tail on top.
-func Recover(dir string, fn func(seq uint64, e *event.Event) error) (*RecoveredState, error) {
-	st := &RecoveredState{}
-	ckpt, err := LoadLatestCheckpoint(dir)
-	if err != nil {
-		return nil, err
-	}
-	st.Checkpoint = ckpt
+// Recover replays the journal tail behind ckpt, the checkpoint the
+// caller already loaded and seeded its state from (nil on a cold
+// start): every intact record from the checkpoint's replay floor goes
+// through fn, in sequence order. Damage — torn tails, CRC-bad records,
+// broken framing — is skipped and counted in Stats, matching the
+// journal's never-abort policy.
+func Recover(dir string, ckpt *Checkpoint, fn func(seq uint64, e *event.Event) error) (*RecoveredState, error) {
+	st := &RecoveredState{Checkpoint: ckpt}
 	if ckpt != nil {
 		st.ReplayFrom = ckpt.ReplayLow
 		st.EndSeq = ckpt.NextSeq

@@ -108,6 +108,13 @@ func (ix *TimeIndex) HighWater(cutoff time.Time) uint64 {
 	return ix.high
 }
 
+// Max returns the newest event time observed (zero before the first).
+func (ix *TimeIndex) Max() time.Time {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.max
+}
+
 // Span reports the observed sequence range [low, high] and whether any
 // event has been observed at all.
 func (ix *TimeIndex) Span() (low, high uint64, ok bool) {

@@ -2,8 +2,8 @@ package relay
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
-	"sort"
 	"time"
 
 	"rex/internal/core/pipeline"
@@ -13,59 +13,38 @@ import (
 	"rex/internal/rib"
 )
 
-// Analysis-node durability. With ReceiverConfig.Dir set, the receiver
-// keeps a merged-stream journal and atomic checkpoints in that
-// directory so a restarted analysis node recovers like a collector —
-// from local disk plus a bounded resend — instead of refetching every
-// feed from sequence zero and re-emitting the whole history:
+// Analysis-node durability: the receiver's role on a journal.Store.
+// With ReceiverConfig.Dir set, the receiver journals the merged stream
+// so a restarted node recovers like a collector — from local disk plus
+// a bounded resend — instead of refetching every feed from zero:
 //
-//   - Release path: every event the merge gate releases is appended to
-//     the journal (in release order — the MergeStreams order) before it
-//     reaches the pipeline, and each feed's released cursor/watermark
-//     advance with the pop.
-//   - Checkpoint: under emitMu (so no release can interleave) the
-//     journal position, pipeline trigger state (TriggerQuery), shadow
-//     route tables, and per-feed released cursors are captured as one
-//     consistent cut and written atomically (internal/journal
-//     checkpoint v2). Only then are the released cursors promoted to
-//     the durable floor the acks advertise.
-//   - Acks: while durability is on, every ack — the handshake resume
-//     ack included — carries the feed's durable cursor, never the
-//     in-memory one. Feeds trim their journals to acks and resume scans
-//     from the handshake ack, so the receiver must not advertise state
-//     a crash could forget. The cost is bounded: a reconnecting feed
-//     resends at most one checkpoint interval of events, which the
-//     dedup cursor drops (and still acks, so the feed's trim floor
-//     keeps moving).
-//   - Recovery: the newest checkpoint restores cursors, trigger state,
-//     and tables; the journal below the checkpoint replays silently
-//     (restored triggers mean no event advances the clock, so no tick
-//     or spike re-fires for stream positions the crashed process
-//     already emitted); the orphan journal tail above the checkpoint is
-//     discarded — merged records carry no feed attribution, so they
-//     cannot advance cursors, and the feeds still hold them durably
-//     below their un-acked tails.
+//   - Release path: every released event is appended in release order
+//     (the MergeStreams order) before it reaches the pipeline.
+//   - Acks: while durability is on, every ack — the handshake resume ack
+//     included — carries the feed's durable cursor, the one the last
+//     checkpoint recorded. Feeds trim to acks and resume from the
+//     handshake ack, so the receiver must not advertise state a crash
+//     could forget; a reconnecting feed resends at most one checkpoint
+//     interval, which the dedup cursor drops (and still acks).
+//   - Recovery: the store drops the journal tail above the checkpoint —
+//     merged records carry no feed attribution, so they cannot advance
+//     cursors, and the feeds still hold them below their un-acked
+//     tails. The restored trigger state keeps the replay below the
+//     checkpoint silent: no tick or spike re-fires for a stream
+//     position the crashed process already emitted.
 //
-// Replay-suffix correctness for the shadow tables: the checkpoint
-// tables are the state at NextSeq, and replay re-applies
-// [ReplayLow, NextSeq) on top. For every key the suffix touches, the
-// last suffix write is by definition the key's state at NextSeq;
-// untouched keys keep their checkpoint value. Transient mid-replay
-// regressions are invisible because replay emits nothing.
-
-// relayTimeIndexStride matches the collector durability tier: one
-// (sequence, event-time) sample every 64 records bounds how far below
-// the true window start the replay floor can land.
-const relayTimeIndexStride = 64
+// The shadow table replays correctly: the checkpoint table is the state
+// at NextSeq, replay re-applies [ReplayLow, NextSeq) on top, and the
+// last suffix write of every key it touches is that key's state at
+// NextSeq. Mid-replay regressions are invisible: replay emits nothing.
 
 // RecoveryStats summarizes what a durable receiver rebuilt at startup.
 type RecoveryStats struct {
 	// HadCheckpoint is false on a cold start (empty or checkpoint-less
 	// directory).
 	HadCheckpoint bool
-	// Truncated counts orphan journal records discarded above the
-	// checkpoint floor: they carry no feed attribution, so the receiver
-	// drops them and lets the feeds resend from the durable cursors.
+	// Truncated counts orphan journal records dropped above the
+	// checkpoint; the feeds resend them from the durable cursors.
 	Truncated uint64
 	// Replayed counts journal records re-ingested silently to rebuild
 	// the analysis window.
@@ -76,24 +55,20 @@ type RecoveryStats struct {
 	ResumeSeq uint64
 }
 
-// persister is the receiver's durability sidecar: the merged-stream
-// journal writer, its time index (replay floors), and the shadow route
-// table the checkpoint's Peers section is rendered from. All fields are
-// guarded by Receiver.emitMu — the release path and the checkpoint are
-// its only users, and both hold it.
+// routeKey names one route in the shadow table.
+type routeKey struct {
+	peer   netip.Addr
+	prefix netip.Prefix
+}
+
+// persister is the receiver's durability sidecar. The receiver holds no
+// RIB of its own, so table shadows the released stream's routes: just
+// enough state to seed the pipeline's TAMP tables after a restart,
+// rendered as the checkpoint's Peers section. table is guarded by
+// Receiver.emitMu, which the release path and the checkpoint hold.
 type persister struct {
-	dir    string
-	window time.Duration
-
-	w  *journal.Writer
-	ix *journal.TimeIndex
-
-	// table shadows the released stream's per-peer route state. The
-	// receiver holds no RIB of its own; this is just enough state to
-	// seed the pipeline's TAMP tables after a restart, mirroring the
-	// collector checkpoint's Peers section.
-	table map[netip.Addr]map[netip.Prefix]*rib.Route
-
+	st    *journal.Store
+	table map[routeKey]*rib.Route
 	stats RecoveryStats
 }
 
@@ -106,142 +81,82 @@ func (r *Receiver) RecoveryStats() (RecoveryStats, bool) {
 	return r.pers.stats, true
 }
 
-// openDurability runs the recovery sequence against cfg.Dir and leaves
-// the receiver ready to journal: load the newest checkpoint, drop the
-// orphan journal tail above it, restore cursors/tables/triggers, replay
-// the window suffix silently, and reopen the journal at the resume
-// sequence. Called from OpenReceiver before any goroutine starts, so no
+// openDurability recovers cfg.Dir and leaves the receiver ready to
+// journal. Called from OpenReceiver before any goroutine starts, so no
 // locking is needed beyond the pipeline's own.
 func (r *Receiver) openDurability() error {
-	cfg := r.cfg
-	p := cfg.Pipeline
-	ps := &persister{
-		dir:    cfg.Dir,
-		window: cfg.Window,
-		ix:     journal.NewTimeIndex(relayTimeIndexStride),
-		table:  map[netip.Addr]map[netip.Prefix]*rib.Route{},
-	}
-
-	ckpt, err := journal.LoadLatestCheckpoint(cfg.Dir)
-	if err != nil {
-		return fmt.Errorf("load checkpoint: %w", err)
-	}
-	var floor uint64
-	if ckpt != nil {
-		floor = ckpt.NextSeq
-	}
-	truncated, err := journal.TruncateFrom(cfg.Dir, floor)
-	if err != nil {
-		return fmt.Errorf("truncate orphan tail: %w", err)
-	}
-	ps.stats.Truncated = truncated
-	if truncated > 0 {
-		obs.Logf(obs.Info, "relay",
-			"dropped %d orphan journal records above checkpoint floor %d; feeds will resend them",
-			truncated, floor)
-	}
-
+	p := r.cfg.Pipeline
+	ps := &persister{table: map[routeKey]*rib.Route{}}
 	p.BeginRecovery()
 	defer p.EndRecovery()
-
-	if ckpt != nil {
-		ps.stats.HadCheckpoint = true
-		now := time.Now()
-		for i := range ckpt.Feeds {
-			fc := &ckpt.Feeds[i]
-			f := r.feeds[fc.ID]
-			if f == nil {
-				if len(cfg.ExpectFeeds) > 0 {
-					// Dropped from the roster since the checkpoint. Its
-					// released events are merged below NextSeq already;
-					// there is nothing to resume.
-					continue
-				}
-				f = &feedState{id: fc.ID, lastHeard: now}
-				r.feeds[fc.ID] = f
-				r.order = append(r.order, fc.ID)
-				mFeedStale.With(fc.ID).Set(0)
-				mFeedConnected.With(fc.ID).Set(0)
+	st, rec, err := journal.OpenStore(r.cfg.Dir,
+		journal.StoreOptions{Fsync: r.cfg.Fsync, Window: r.cfg.Window, DropOrphans: true},
+		func(ckpt *journal.Checkpoint) {
+			if ckpt != nil {
+				r.restore(ps, ckpt)
 			}
-			f.nextSeq = fc.NextSeq
-			f.released = fc.NextSeq
-			f.durable = fc.NextSeq
-			f.watermark = fc.Watermark
-			f.relWM = fc.Watermark
-			mFeedNextSeq.With(fc.ID).Set(int64(fc.NextSeq))
-			mDurableSeq.With(fc.ID).Set(int64(fc.NextSeq))
-		}
-		sort.Strings(r.order)
-		for i := range ckpt.Peers {
-			pt := &ckpt.Peers[i]
-			m := make(map[netip.Prefix]*rib.Route, len(pt.Routes))
-			for _, rt := range pt.Routes {
-				m[rt.Prefix] = rt
-			}
-			ps.table[pt.Peer] = m
-		}
-		ps.stats.RestoredRoutes = ckpt.RouteCount()
-		for _, e := range ckpt.SeedEvents() {
-			p.Seed(*e)
-		}
-		if ckpt.Pipe != nil {
-			p.RestoreTriggers(pipeline.TriggerState{
-				Clock:     ckpt.Pipe.Clock,
-				NextTick:  ckpt.Pipe.NextTick,
-				CurBucket: ckpt.Pipe.CurBucket,
-				LastSpike: ckpt.Pipe.LastSpike,
-			})
-		}
-		obs.Logf(obs.Info, "relay",
-			"checkpoint seq %d: restored %d feed cursors, %d routes (taken %s)",
-			ckpt.NextSeq, len(ckpt.Feeds), ckpt.RouteCount(),
-			ckpt.TakenAt.Format(time.RFC3339))
-	}
-
-	st, err := journal.Recover(cfg.Dir, func(seq uint64, e *event.Event) error {
-		p.Ingest(*e)
-		ps.ix.Observe(seq, e.Time)
-		ps.apply(e)
-		return nil
-	})
+		},
+		func(_ uint64, e *event.Event) {
+			p.Ingest(*e)
+			ps.apply(e)
+		})
 	if err != nil {
-		return fmt.Errorf("journal replay: %w", err)
+		return err
 	}
-	ps.stats.Replayed = st.Replayed
-	mRecoveredEvents.Add(st.Replayed)
-	if st.Replayed > 0 {
-		obs.Logf(obs.Info, "relay",
-			"journal replayed %d merged events from seq %d", st.Replayed, st.ReplayFrom)
-	}
-
-	w, err := journal.Open(cfg.Dir, journal.Options{Fsync: cfg.Fsync, StartSeq: st.EndSeq})
-	if err != nil {
-		return fmt.Errorf("journal open: %w", err)
-	}
-	ps.w = w
-	ps.stats.ResumeSeq = st.EndSeq
+	ps.st = st
+	ps.stats.Truncated, ps.stats.Replayed, ps.stats.ResumeSeq = rec.Truncated, rec.Replayed, st.NextSeq()
+	mRecoveredEvents.Add(rec.Replayed)
 	r.pers = ps
-	obs.Logf(obs.Info, "relay", "merged journal open in %s at seq %d", cfg.Dir, st.EndSeq)
 	return nil
 }
 
-// apply folds one released event into the shadow route table.
+// restore brings back what ckpt recorded: per-feed cursors, the shadow
+// table (also seeded into the pipeline) and the pipeline's trigger
+// state.
+func (r *Receiver) restore(ps *persister, ckpt *journal.Checkpoint) {
+	now := time.Now()
+	for _, fc := range ckpt.Feeds {
+		f := r.feeds[fc.ID]
+		if f == nil {
+			if len(r.cfg.ExpectFeeds) > 0 {
+				// Dropped from the roster since the checkpoint. Its
+				// released events are merged below NextSeq already;
+				// there is nothing to resume.
+				continue
+			}
+			f = r.addFeed(fc.ID, now)
+		}
+		f.nextSeq, f.released, f.durable = fc.NextSeq, fc.NextSeq, fc.NextSeq
+		f.watermark, f.relWM = fc.Watermark, fc.Watermark
+		mFeedNextSeq.With(fc.ID).Set(int64(fc.NextSeq))
+		mDurableSeq.With(fc.ID).Set(int64(fc.NextSeq))
+	}
+	for _, pt := range ckpt.Peers {
+		for _, rt := range pt.Routes {
+			ps.table[routeKey{pt.Peer, rt.Prefix}] = rt
+		}
+	}
+	ps.stats.HadCheckpoint, ps.stats.RestoredRoutes = true, ckpt.RouteCount()
+	for _, e := range ckpt.SeedEvents() {
+		r.cfg.Pipeline.Seed(*e)
+	}
+	if pp := ckpt.Pipe; pp != nil {
+		r.cfg.Pipeline.RestoreTriggers(pipeline.TriggerState{
+			Clock: pp.Clock, NextTick: pp.NextTick, CurBucket: pp.CurBucket, LastSpike: pp.LastSpike,
+		})
+	}
+	obs.Logf(obs.Info, "relay", "checkpoint seq %d: restored %d feed cursors, %d routes (taken %s)",
+		ckpt.NextSeq, len(ckpt.Feeds), ckpt.RouteCount(), ckpt.TakenAt.Format(time.RFC3339))
+}
+
+// apply folds one released event into the shadow table.
 func (ps *persister) apply(e *event.Event) {
+	k := routeKey{e.Peer, e.Prefix}
 	switch e.Type {
 	case event.Announce:
-		t := ps.table[e.Peer]
-		if t == nil {
-			t = map[netip.Prefix]*rib.Route{}
-			ps.table[e.Peer] = t
-		}
-		t[e.Prefix] = &rib.Route{Prefix: e.Prefix, Peer: e.Peer, Attrs: e.Attrs, LearnedAt: e.Time}
+		ps.table[k] = &rib.Route{Prefix: e.Prefix, Peer: e.Peer, Attrs: e.Attrs, LearnedAt: e.Time}
 	case event.Withdraw:
-		if t := ps.table[e.Peer]; t != nil {
-			delete(t, e.Prefix)
-			if len(t) == 0 {
-				delete(ps.table, e.Peer)
-			}
-		}
+		delete(ps.table, k)
 	}
 }
 
@@ -254,42 +169,33 @@ func (r *Receiver) journalBatch(batch []event.Event) {
 	ps := r.pers
 	for i := range batch {
 		e := &batch[i]
-		seq, err := ps.w.Append(e)
-		if err != nil {
+		if _, err := ps.st.Append(e); err != nil {
 			mJournalErrors.Inc()
 			obs.Logf(obs.Error, "relay", "merged journal append: %v", err)
 			continue
 		}
-		ps.ix.Observe(seq, e.Time)
 		ps.apply(e)
 		mJournaled.Inc()
 	}
 }
 
 // checkpoint captures one consistent durable cut: journal position,
-// pipeline trigger state, shadow tables, and per-feed released cursors.
-// emitMu keeps releases from interleaving, and the internal order
-// matters — NextSeq is read and the journal synced before TriggerQuery,
-// so the trigger state captured is the state at exactly NextSeq (every
-// released event below it both journaled and ingested, nothing since).
-// Only after the checkpoint is durable are the released cursors
-// promoted to the ack floor.
+// pipeline trigger state, shadow table, and per-feed released cursors.
+// emitMu keeps releases from interleaving, and the store syncs the
+// journal at NextSeq before fill runs TriggerQuery, so the trigger
+// state captured is the state at exactly NextSeq (every released event
+// below it both journaled and ingested, nothing since). Only after the
+// checkpoint is durable are the released cursors promoted to the ack
+// floor.
 func (r *Receiver) checkpoint() error {
 	ps := r.pers
 	r.emitMu.Lock()
 	defer r.emitMu.Unlock()
-
-	nextSeq := ps.w.NextSeq()
-	if err := ps.w.Sync(); err != nil {
-		mCheckpointErrors.Inc()
-		return fmt.Errorf("journal sync: %w", err)
-	}
-	ts, ok := r.cfg.Pipeline.TriggerQuery()
-	if !ok {
-		mCheckpointErrors.Inc()
-		return fmt.Errorf("pipeline closed mid-checkpoint")
-	}
-	if r.cfg.SnapshotSink != nil {
+	err := ps.st.Checkpoint(func(ck *journal.Checkpoint) (time.Time, error) {
+		ts, ok := r.cfg.Pipeline.TriggerQuery()
+		if !ok {
+			return time.Time{}, fmt.Errorf("pipeline closed mid-checkpoint")
+		}
 		// Sink-durability wait: every snapshot this cut covers must be
 		// through the sink before the checkpoint lands, or a crash
 		// between emission and sink would lose the snapshot for good
@@ -297,43 +203,29 @@ func (r *Receiver) checkpoint() error {
 		// emitMu is held, so ts.Emitted is final; the drain goroutine
 		// advances sunk without needing the Snapshots() consumer
 		// (counted before the forward), so this converges.
-		for deadline := time.Now().Add(10 * time.Second); r.sunk.Load() < ts.Emitted; {
+		for deadline := time.Now().Add(10 * time.Second); r.cfg.SnapshotSink != nil && r.sunk.Load() < ts.Emitted; {
 			if time.Now().After(deadline) {
-				mCheckpointErrors.Inc()
-				return fmt.Errorf("snapshot sink stalled (%d of %d sunk)",
-					r.sunk.Load(), ts.Emitted)
+				return time.Time{}, fmt.Errorf("snapshot sink stalled (%d of %d sunk)", r.sunk.Load(), ts.Emitted)
 			}
 			time.Sleep(time.Millisecond)
 		}
-	}
-	ck := &journal.Checkpoint{
-		NextSeq:   nextSeq,
-		ReplayLow: nextSeq,
-		TakenAt:   time.Now(),
-		Peers:     ps.peerTables(),
-		Pipe: &journal.PipeState{
-			Clock: ts.Clock, NextTick: ts.NextTick,
-			CurBucket: ts.CurBucket, LastSpike: ts.LastSpike,
-		},
-	}
-	if !ts.Clock.IsZero() {
-		ck.WindowStart = ts.Clock.Add(-ps.window)
-		if low := ps.ix.LowWater(ck.WindowStart); low < nextSeq {
-			ck.ReplayLow = low
+		routes := make([]*rib.Route, 0, len(ps.table))
+		for _, rt := range ps.table {
+			routes = append(routes, rt)
 		}
-	}
-	r.mu.Lock()
-	ck.Feeds = make([]journal.FeedCursor, 0, len(r.order))
-	for _, id := range r.order {
-		f := r.feeds[id]
-		ck.Feeds = append(ck.Feeds, journal.FeedCursor{
-			ID: id, NextSeq: f.released, Watermark: f.relWM,
-		})
-	}
-	r.mu.Unlock()
-	if _, err := journal.WriteCheckpoint(ps.dir, ck); err != nil {
+		ck.Peers = journal.PeerTablesOf(routes)
+		ck.Pipe = &journal.PipeState{Clock: ts.Clock, NextTick: ts.NextTick, CurBucket: ts.CurBucket, LastSpike: ts.LastSpike}
+		r.mu.Lock()
+		for _, id := range r.order {
+			f := r.feeds[id]
+			ck.Feeds = append(ck.Feeds, journal.FeedCursor{ID: id, NextSeq: f.released, Watermark: f.relWM})
+		}
+		r.mu.Unlock()
+		return ts.Clock, nil
+	}, math.MaxUint64)
+	if err != nil {
 		mCheckpointErrors.Inc()
-		return fmt.Errorf("write checkpoint: %w", err)
+		return err
 	}
 	r.mu.Lock()
 	for _, id := range r.order {
@@ -343,15 +235,6 @@ func (r *Receiver) checkpoint() error {
 	}
 	r.mu.Unlock()
 	mCheckpoints.Inc()
-	if _, err := journal.PruneCheckpoints(ps.dir, 3); err != nil {
-		obs.Logf(obs.Warn, "relay", "prune checkpoints: %v", err)
-	}
-	if _, err := ps.w.TrimTo(ck.ReplayLow); err != nil {
-		obs.Logf(obs.Warn, "relay", "journal trim: %v", err)
-	}
-	obs.Logf(obs.Debug, "relay",
-		"checkpoint at merged seq %d (replay floor %d, %d feed cursors, %d routes)",
-		nextSeq, ck.ReplayLow, len(ck.Feeds), ck.RouteCount())
 	return nil
 }
 
@@ -370,27 +253,4 @@ func (r *Receiver) checkpointLoop() {
 			}
 		}
 	}
-}
-
-// peerTables renders the shadow table as the checkpoint's per-peer
-// route lists, peers and prefixes sorted so checkpoint bytes are a
-// deterministic function of the state.
-func (ps *persister) peerTables() []journal.PeerTable {
-	out := make([]journal.PeerTable, 0, len(ps.table))
-	for peer, m := range ps.table {
-		routes := make([]*rib.Route, 0, len(m))
-		for _, rt := range m {
-			routes = append(routes, rt)
-		}
-		sort.Slice(routes, func(i, j int) bool {
-			a, b := routes[i].Prefix, routes[j].Prefix
-			if c := a.Addr().Compare(b.Addr()); c != 0 {
-				return c < 0
-			}
-			return a.Bits() < b.Bits()
-		})
-		out = append(out, journal.PeerTable{Peer: peer, Routes: routes})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer.Compare(out[j].Peer) < 0 })
-	return out
 }

@@ -219,15 +219,10 @@ func OpenReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		// A duplicated roster entry must not duplicate the merge-order
 		// list: the gate would check the same feed twice and Statuses
 		// would emit duplicate rows.
-		if _, dup := r.feeds[id]; dup {
-			continue
+		if _, dup := r.feeds[id]; !dup {
+			r.addFeed(id, now)
 		}
-		r.feeds[id] = &feedState{id: id, lastHeard: now}
-		r.order = append(r.order, id)
-		mFeedStale.With(id).Set(0)
-		mFeedConnected.With(id).Set(0)
 	}
-	sort.Strings(r.order)
 	if cfg.Dir != "" {
 		if err := r.openDurability(); err != nil {
 			return nil, err
@@ -242,6 +237,18 @@ func OpenReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		go r.checkpointLoop()
 	}
 	return r, nil
+}
+
+// addFeed registers a feed not seen before, keeping the merge order
+// sorted. Caller holds mu or owns the receiver exclusively.
+func (r *Receiver) addFeed(id string, now time.Time) *feedState {
+	f := &feedState{id: id, lastHeard: now}
+	r.feeds[id] = f
+	r.order = append(r.order, id)
+	sort.Strings(r.order)
+	mFeedStale.With(id).Set(0)
+	mFeedConnected.With(id).Set(0)
+	return f
 }
 
 // Snapshots returns pipeline snapshots wrapped with feed health. The
@@ -322,7 +329,7 @@ func (r *Receiver) Close() {
 		r.cfg.Pipeline.Close()
 		r.waitSinkDrain()
 		if r.pers != nil {
-			if err := r.pers.w.Close(); err != nil {
+			if err := r.pers.st.Close(); err != nil {
 				obs.Logf(obs.Error, "relay", "merged journal close: %v", err)
 			}
 		}
@@ -352,7 +359,7 @@ func (r *Receiver) Abort() {
 		r.cfg.Pipeline.Close()
 		r.waitSinkDrain()
 		if r.pers != nil {
-			r.pers.w.Close()
+			r.pers.st.Close()
 		}
 	})
 }
@@ -502,10 +509,7 @@ func (r *Receiver) handle(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		f = &feedState{id: id, lastHeard: time.Now()}
-		r.feeds[id] = f
-		r.order = append(r.order, id)
-		sort.Strings(r.order)
+		f = r.addFeed(id, time.Now())
 	}
 	if f.conn != nil {
 		// Session replacement: the feed redialed before we noticed the

@@ -235,7 +235,7 @@ func runRestart(t *testing.T, withCheckpoint, tear bool) {
 		// Wait for the gate to release something, then cut a durable
 		// floor at exactly the released cursors.
 		deadline := time.Now().Add(30 * time.Second)
-		for rcvA.pers.w.NextSeq() == 0 {
+		for rcvA.pers.st.NextSeq() == 0 {
 			if time.Now().After(deadline) {
 				t.Fatal("gate never released any event")
 			}
@@ -244,7 +244,7 @@ func runRestart(t *testing.T, withCheckpoint, tear bool) {
 		if err := rcvA.checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		floor = rcvA.pers.w.NextSeq()
+		floor = rcvA.pers.st.NextSeq()
 	}
 
 	// Phase 2: ~20% more per feed, so the journal grows an orphan tail
@@ -262,9 +262,9 @@ func runRestart(t *testing.T, withCheckpoint, tear bool) {
 		// (the torn variant destroys one record; at least one intact
 		// orphan must remain for Truncated to be observable).
 		deadline := time.Now().Add(30 * time.Second)
-		for rcvA.pers.w.NextSeq() < floor+2 {
+		for rcvA.pers.st.NextSeq() < floor+2 {
 			if time.Now().After(deadline) {
-				t.Fatalf("journal stuck at %d, want > %d", rcvA.pers.w.NextSeq(), floor+1)
+				t.Fatalf("journal stuck at %d, want > %d", rcvA.pers.st.NextSeq(), floor+1)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}

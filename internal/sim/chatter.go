@@ -343,8 +343,10 @@ func SessionResetScenario(site *Site, baseline []SiteRoute, neighborAS uint32, d
 }
 
 // NoiseStream spreads uncorrelated single-prefix churn (the "grass" of
-// Figure 8) over the given duration: random baseline routes get a
-// withdraw/re-announce pair with a slightly perturbed path.
+// Figure 8) from start: random baseline routes get a withdraw/re-announce
+// pair with a slightly perturbed path. Withdraws fall in
+// [start, start+over); each re-announce follows its withdraw by
+// 0.5–2.5 s, so the stream can run up to 2.5 s past start+over.
 func NoiseStream(baseline []SiteRoute, n int, over time.Duration, start time.Time, seed int64) event.Stream {
 	if len(baseline) == 0 || n <= 0 {
 		return nil

@@ -239,6 +239,11 @@ func TestNoiseStream(t *testing.T) {
 	if last.Sub(first) < 30*time.Minute {
 		t.Errorf("noise span = %v", last.Sub(first))
 	}
+	// Re-announces trail their withdraws by at most 2.5 s, so the
+	// stream may overrun over by that much and no more.
+	if first.Before(scT0) || !last.Before(scT0.Add(time.Hour+2500*time.Millisecond)) {
+		t.Errorf("noise spans [%v, %v], want within [start, start+over+2.5s)", first, last)
+	}
 	// Sorted.
 	for i := 1; i < len(noise); i++ {
 		if noise[i].Time.Before(noise[i-1].Time) {
