@@ -439,6 +439,36 @@ func BenchmarkParallelWindow(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowSnapshotCadence is ROADMAP measurement B: the same
+// pipeline.Replay input as BenchmarkParallelWindow (Berkeley 23k routes,
+// 100k events over 1 h, 30 min window, workers=1) at a 2 min and a 15 s
+// snapshot cadence, at 1 and 16 prefix shards. At 15 s the ~240
+// snapshots of a ~50k-event window dominate, so this times the Stemming
+// and TAMP snapshot path rather than ingest.
+func BenchmarkWindowSnapshotCadence(b *testing.B) {
+	d := berkeleyAt(b, 23_000)
+	const n = 100_000
+	events := benchEvents(b, "par", d.site.Site, d.routes, n, time.Hour)
+	for _, every := range []time.Duration{2 * time.Minute, 15 * time.Second} {
+		for _, shards := range []int{1, 16} {
+			b.Run(fmt.Sprintf("every=%v/shards=%d", every, shards), func(b *testing.B) {
+				var snaps int
+				for i := 0; i < b.N; i++ {
+					snaps = len(pipeline.Replay(events, pipeline.Config{
+						Window:        30 * time.Minute,
+						SnapshotEvery: every,
+						SpikeK:        -1,
+						Site:          "berkeley",
+						Shards:        shards,
+						Workers:       1,
+					}))
+				}
+				b.ReportMetric(float64(snaps), "snapshots")
+			})
+		}
+	}
+}
+
 // ---- Time travel (DESIGN.md §15) ----
 
 // BenchmarkReplayAt measures a cold /api/at answer end to end: scan the

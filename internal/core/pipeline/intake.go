@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"rex/internal/event"
 )
@@ -177,12 +178,32 @@ collect:
 	in.p.IngestBatch(batch)
 }
 
-// deliver is the shed policy's per-event hand-off. It waits for the
-// pipeline like Block — the queue, not this send, is where shed mode
-// bounds latency — but a closing intake must not stay wedged behind a
-// stalled consumer: it falls back to a best-effort non-blocking
-// hand-off and lets the overflow shed.
+// shedPoll is how long the shed-policy drainer sleeps between checks
+// while the pipeline buffer is full.
+const shedPoll = time.Millisecond
+
+// deliver is the shed policy's per-event hand-off. The shed decision
+// comes before the journal: the event is journaled only once the
+// pipeline buffer has room for it and is then handed off, so every
+// journaled event reaches the pipeline. While the buffer is full the
+// drainer waits like Block — the queue, not this hand-off, is where
+// shed mode bounds latency — but a closing intake must not stay wedged
+// behind a stalled consumer, so it sheds the event unjournaled instead.
+// Should another producer (a seed, a control message) take the slot
+// between the check and the send, the hand-off waits for the next slot
+// rather than drop a journaled event.
 func (in *Intake) deliver(e event.Event) {
+	for len(in.p.events) == cap(in.p.events) {
+		select {
+		case <-in.quit:
+			mIntakeShed.Inc()
+			return
+		case <-in.p.quit:
+			return
+		default:
+		}
+		time.Sleep(shedPoll)
+	}
 	if in.cfg.Journal != nil {
 		if err := in.cfg.Journal(&e); err != nil {
 			mIntakeJournalErrs.Inc()
@@ -191,8 +212,6 @@ func (in *Intake) deliver(e event.Event) {
 	select {
 	case in.p.events <- msg{e: e}:
 	case <-in.p.quit:
-	case <-in.quit:
-		in.p.TryIngest(e)
 	}
 }
 

@@ -201,6 +201,50 @@ func TestIntakePolicies(t *testing.T) {
 	})
 }
 
+// TestIntakeShedJournalsOnlyDelivered: under the shed policy every
+// journaled event reaches the pipeline, even when the intake closes
+// behind a stalled consumer — otherwise a shutdown leaves events in the
+// journal that the live window never counted, and a restart or /api/at
+// would disagree with what was served.
+func TestIntakeShedJournalsOnlyDelivered(t *testing.T) {
+	p := stalledPipeline()
+	journaled := 0 // written by the drainer; read after Close returns
+	in := NewIntake(IntakeConfig{Depth: 64, Policy: OverloadShed,
+		Journal: func(e *event.Event) error { journaled++; return nil }}, p)
+	const offered = 500
+	for i := 0; i < offered; i++ {
+		in.Offer(intakeEvent(i))
+	}
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		in.Close()
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("closing intake wedged behind the stalled pipeline")
+	}
+	var final Snapshot
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for s := range p.Snapshots() {
+			if s.Trigger == TriggerFinal {
+				final = s
+			}
+		}
+	}()
+	p.Close()
+	<-done
+	if journaled >= offered {
+		t.Fatalf("journaled all %d events: the pipeline was never stalled", journaled)
+	}
+	if final.Events != journaled {
+		t.Fatalf("journaled %d events but the window counted %d", journaled, final.Events)
+	}
+}
+
 func TestParseOverloadPolicy(t *testing.T) {
 	for _, s := range []string{"block", "shed"} {
 		pol, err := ParseOverloadPolicy(s)

@@ -3,8 +3,8 @@ package pipeline
 import "rex/internal/obs"
 
 // Streaming-engine metrics. The settle histogram is fed by the
-// stemming.Window.OnSettle hook — it times the parallel count-table
-// batch settles, the hottest recurring work in the engine — and the
+// stemming.Window.OnSettle hook — it times the batched settles of the
+// window's per-prefix event lists — and the
 // snapshot histogram times full decomposition+picture assembly, the
 // operation whose latency bounds how fresh a spike report can be.
 var (
@@ -19,7 +19,7 @@ var (
 	mSpikes = obs.NewCounter("rex_pipeline_spikes_total",
 		"Rate spikes detected (median + k*MAD crossings reported once each).")
 	mSettleSeconds = obs.NewHistogram("rex_pipeline_settle_seconds",
-		"Latency of sliding-window count-table settle batches.", nil)
+		"Latency of sliding-window per-prefix event-list settle batches (sub-sequence counts update inline and are not timed here).", nil)
 	mSnapshotSeconds = obs.NewHistogram("rex_pipeline_snapshot_seconds",
 		"Latency of full snapshot assembly (decomposition + TAMP picture).", nil)
 	mShed = obs.NewCounter("rex_pipeline_shed_total",
@@ -29,7 +29,7 @@ var (
 	mSeedStale = obs.NewCounter("rex_pipeline_seed_stale_total",
 		"Checkpoint seeds dropped because a live event already touched the route key during recovery.")
 	mShards = obs.NewGauge("rex_shard_count",
-		"Prefix shards partitioning the analysis state (count tables and TAMP shadow).")
+		"Prefix shards partitioning the analysis state (Stemming event lists and TAMP shadow).")
 	mShardRouteOps = obs.NewCounter("rex_shard_route_ops_total",
 		"Routing changes routed to prefix-sharded TAMP shadows.")
 	mShardFlushes = obs.NewCounter("rex_shard_flushes_total",
@@ -41,7 +41,7 @@ var (
 	mIntakeOffered = obs.NewCounter("rex_intake_offered_total",
 		"Events offered to the intake queue by collector sessions.")
 	mIntakeShed = obs.NewCounter("rex_intake_shed_total",
-		"Events shed at the intake queue because it was full (shed policy).")
+		"Events shed by the shed policy: at a full intake queue, or unjournaled at a full pipeline buffer while the intake closes.")
 	mIntakeJournalErrs = obs.NewCounter("rex_intake_journal_errors_total",
 		"Journal append failures swallowed by the intake drainer.")
 	mIntakeBatches = obs.NewCounter("rex_intake_batches_total",

@@ -1,6 +1,6 @@
 // Package pipeline is the streaming analysis engine: it consumes the
 // collector's live event stream (or a replayed one), maintains a sliding
-// time window of events with incrementally-updated Stemming count tables
+// time window of events with an incrementally-updated Stemming count table
 // and a TAMP routing graph, and emits analysis snapshots — on a periodic
 // event-time tick, whenever the event rate spikes above the robust
 // baseline, and once at shutdown. It is the always-on form of the
@@ -9,10 +9,11 @@
 // decomposition of exactly the last Window of routing activity plus a
 // pruned picture of the routing state at that instant.
 //
-// All analysis state is sharded by interned prefix: event i's prefix
-// picks both its Stemming count shard and its TAMP sub-graph, so the
+// Per-prefix analysis state is sharded by prefix: event i's prefix picks
+// both its Stemming event-list shard and its TAMP sub-graph, so the
 // shards partition the prefix space and merge deterministically at
-// snapshot time (DESIGN.md §10). Workers controls only how many
+// snapshot time (DESIGN.md §10). Stemming's sub-sequence counts are one
+// unsharded table. Workers controls only how many
 // goroutines execute shard work — the shard layout, and therefore every
 // snapshot byte, is identical at any worker count.
 package pipeline
@@ -77,9 +78,9 @@ type Snapshot struct {
 
 // DefaultShards is the default prefix-shard count. It is a fixed number
 // rather than GOMAXPROCS on purpose: the shard layout is part of the
-// analysis semantics (it fixes the floating-point merge order of the
-// count tables and the per-shard TAMP MaxEver peaks), so a fixed default
-// keeps snapshots reproducible across machines, not just across runs.
+// analysis semantics (it fixes the per-shard TAMP MaxEver peaks), so a
+// fixed default keeps snapshots reproducible across machines, not just
+// across runs.
 const DefaultShards = 16
 
 // Config tunes the pipeline. The zero value is usable.
@@ -101,10 +102,10 @@ type Config struct {
 	// Prune controls Picture pruning.
 	Prune tamp.PruneOptions
 	// Shards is the prefix-shard parallelism of the analysis state — the
-	// Stemming count tables and the TAMP shadow are both partitioned by
-	// interned prefix modulo Shards (0 = DefaultShards). Results depend
-	// on the shard count only through float summation order and the
-	// per-shard MaxEver rule, never on Workers.
+	// Stemming per-prefix event lists and the TAMP shadow are both
+	// partitioned by a prefix hash modulo Shards (0 = DefaultShards).
+	// Results depend on the shard count only through the per-shard
+	// MaxEver rule, never on Workers.
 	Shards int
 	// Workers is how many goroutines execute shard work. 0 or 1 runs
 	// everything inline on the run loop (the sequential path); higher
@@ -405,7 +406,7 @@ func (p *Pipeline) run() {
 		st.pool = newPool(p.cfg.Workers)
 		defer st.pool.close()
 		// Window settles ride the same pool: distinct tasks touch
-		// distinct count shards, and the Runner contract waits for all
+		// distinct event-list shards, and the Runner contract waits for all
 		// of them, so the coordinator's view stays race-free.
 		st.win.Runner = func(n int, run func(i int)) {
 			var wg sync.WaitGroup

@@ -58,19 +58,26 @@ type interner struct {
 	maxSubseqLen int
 	scratchSeq   []uint32
 	scratchRaw   []byte
+
+	// Sub-sequence interning: every distinct sub-sequence key (the
+	// big-endian form of >= 2 packed token IDs) gets a dense ID, its
+	// index in a Stemming count table. keyStr[id] is the key. IDs are
+	// never recycled: they live as long as the seqEntrys that name them.
+	keyIDs map[string]uint32
+	keyStr []string
 }
 
 // seqEntry is one interned event sequence: the packed token IDs, their
-// byte encoding, the prefix ID (always the last token), and every
-// contiguous sub-sequence key of >= 2 tokens, materialized once. The
-// keys all share ent.raw's backing string, so an entry costs a handful
-// of allocations no matter how often its sequence recurs — count-table
-// updates then reuse these strings and allocate nothing.
+// byte encoding, the prefix ID (always the last token), and the dense
+// IDs of its every contiguous sub-sequence of >= 2 tokens, resolved
+// once. An entry costs a handful of allocations no matter how often its
+// sequence recurs — count-table updates then index by these IDs and
+// neither hash nor allocate.
 type seqEntry struct {
 	seq  []uint32
 	raw  []byte
 	pid  uint32
-	keys []string
+	kids []uint32
 }
 
 func newInterner(maxSubseqLen int) *interner {
@@ -81,6 +88,7 @@ func newInterner(maxSubseqLen int) *interner {
 		pfxIDs:       make(map[netip.Prefix]uint32),
 		seqs:         make(map[string]*seqEntry),
 		maxSubseqLen: maxSubseqLen,
+		keyIDs:       make(map[string]uint32),
 	}
 }
 
@@ -206,7 +214,9 @@ type analysis struct {
 	alive   []bool
 	liveN   int
 
-	counts         map[string]float64
+	// counts is the sub-sequence count table, indexed by dense key ID
+	// (see interner.keyStr) — the same representation a Window keeps.
+	counts         []float64
 	eventsByPrefix map[uint32][]int
 	// idxArena backs eventsByPrefix's value slices when the analysis is
 	// a Window's reused snapshot scratch (see Window.Snapshot); the batch
@@ -223,7 +233,6 @@ func newAnalysis(s event.Stream, cfg Config) *analysis {
 		weights:        make([]float64, len(s)),
 		alive:          make([]bool, len(s)),
 		liveN:          len(s),
-		counts:         make(map[string]float64, len(s)*8),
 		eventsByPrefix: make(map[uint32][]int, len(s)/2),
 	}
 	for i := range s {
@@ -237,14 +246,18 @@ func newAnalysis(s event.Stream, cfg Config) *analysis {
 		}
 		a.weights[i] = w
 		a.eventsByPrefix[ent.pid] = append(a.eventsByPrefix[ent.pid], i)
-		a.addCounts(i, w)
+	}
+	a.counts = make([]float64, len(a.in.keyStr))
+	for i, ent := range a.ents {
+		addCounts(a.counts, ent.kids, a.weights[i])
 	}
 	return a
 }
 
 // reset prepares a reused analysis for n events: slices are regrown in
-// place and the maps are cleared with their buckets retained, so a
-// steady-state Window snapshot reallocates none of its scratch.
+// place and the map is cleared with its buckets retained, so a
+// steady-state Window snapshot reallocates none of its scratch. The
+// count table is not touched; Window.Snapshot overwrites it by copy.
 func (a *analysis) reset(n int) {
 	if cap(a.ents) < n {
 		a.stream = make(event.Stream, n)
@@ -258,11 +271,6 @@ func (a *analysis) reset(n int) {
 		a.alive = a.alive[:n]
 	}
 	a.liveN = n
-	if a.counts == nil {
-		a.counts = make(map[string]float64, 1024)
-	} else {
-		clear(a.counts)
-	}
 	if a.eventsByPrefix == nil {
 		a.eventsByPrefix = make(map[uint32][]int, 64)
 	} else {
@@ -311,19 +319,20 @@ func (in *interner) seqFor(e *event.Event) *seqEntry {
 		raw: append([]byte(nil), raw...),
 		pid: pid,
 	}
-	ent.buildKeys(in.maxSubseqLen)
+	in.buildKeys(ent)
 	in.seqs[string(ent.raw)] = ent
 	return ent
 }
 
-// buildKeys materializes every contiguous sub-sequence key of >= 2
-// tokens (capped at maxSubseqLen when > 1), in the same order the count
-// loop historically visited them. All keys are substrings of one backing
-// string, so the whole set costs two allocations.
-func (e *seqEntry) buildKeys(maxSubseqLen int) {
+// buildKeys resolves the dense ID of every contiguous sub-sequence of
+// >= 2 tokens (capped at maxSubseqLen when > 1), interning keys not seen
+// before. Interned keys are substrings of the first naming entry's raw
+// bytes, so a new entry costs one string and one ID slice plus its new
+// keys' table slots.
+func (in *interner) buildKeys(e *seqEntry) {
 	maxLen := len(e.seq)
-	if maxSubseqLen > 1 && maxSubseqLen < maxLen {
-		maxLen = maxSubseqLen
+	if in.maxSubseqLen > 1 && in.maxSubseqLen < maxLen {
+		maxLen = in.maxSubseqLen
 	}
 	n := 0
 	for start := 0; start < len(e.seq)-1; start++ {
@@ -336,65 +345,68 @@ func (e *seqEntry) buildKeys(maxSubseqLen int) {
 		}
 	}
 	s := string(e.raw)
-	keys := make([]string, 0, n)
+	kids := make([]uint32, 0, n)
 	for start := 0; start < len(e.seq)-1; start++ {
 		end := start + maxLen
 		if end > len(e.seq) {
 			end = len(e.seq)
 		}
 		for stop := start + 2; stop <= end; stop++ {
-			keys = append(keys, s[start*idBytes:stop*idBytes])
+			key := s[start*idBytes : stop*idBytes]
+			id, ok := in.keyIDs[key]
+			if !ok {
+				id = internIdx(len(in.keyStr), "sub-sequence")
+				in.keyIDs[key] = id
+				in.keyStr = append(in.keyStr, key)
+			}
+			kids = append(kids, id)
 		}
 	}
-	e.keys = keys
+	e.kids = kids
 }
 
-// addCounts adds (or, with negative w, removes) every sub-sequence of
-// event i of length >= 2 tokens.
-func (a *analysis) addCounts(i int, w float64) {
-	addSubseqKeys(a.counts, a.ents[i].keys, w)
-}
-
-// addSubseqKeys adds (or, with negative w, removes) an interned entry's
-// cached sub-sequence keys into counts. The keys are already-materialized
-// strings, so the loop allocates nothing — the property the event hot
-// path's allocation budget rests on. Shared between batch analysis and
-// the sliding Window's shard counters; the negative-w path is what makes
-// windows evictable.
-func addSubseqKeys(counts map[string]float64, keys []string, w float64) {
-	for _, key := range keys {
-		n := counts[key] + w
+// addCounts adds (or, with negative w, removes) one interned entry's
+// sub-sequences into a dense count table. A count that falls to <= 1e-9
+// — the float residue of an add/evict pair — becomes exactly 0. Shared
+// between batch analysis, the sliding Window and extraction; the
+// negative-w path is what makes windows evictable.
+func addCounts(counts []float64, kids []uint32, w float64) {
+	for _, k := range kids {
+		n := counts[k] + w
 		if n <= 1e-9 {
-			delete(counts, key)
-		} else {
-			counts[key] = n
+			n = 0
 		}
+		counts[k] = n
 	}
 }
 
-// best scans the count table for the top-scoring sub-sequence.
-func (a *analysis) best() (key string, score float64, count float64, ok bool) {
-	for k, c := range a.counts {
+// best scans the count table for the top-scoring sub-sequence and
+// returns its key ID.
+func (a *analysis) best() (kid uint32, score float64, count float64, ok bool) {
+	var key string
+	for id, c := range a.counts {
 		if c < a.cfg.MinCount {
 			continue
 		}
+		k := a.in.keyStr[id]
 		length := len(k) / idBytes
 		s := a.cfg.Score(c, length)
 		switch {
 		case !ok || s > score:
-			key, score, count, ok = k, s, c, true
+			kid, key, score, count, ok = uint32(id), k, s, c, true
 		case s == score:
 			// Deterministic tie-break: longer wins, then smaller token
-			// content. Comparing decoded content instead of raw key bytes
-			// keeps the choice independent of interning order, so a
-			// sliding window (whose interner has seen evicted events) and
-			// a batch run over the same events pick the same winner.
+			// content. Comparing decoded content instead of key IDs or
+			// raw key bytes keeps the choice independent of interning
+			// order, so a sliding window (whose interner has seen
+			// evicted events) and a batch run over the same events pick
+			// the same winner.
 			if len(k) > len(key) || (len(k) == len(key) && a.in.keyLess(k, key)) {
-				key, count = k, c
+				kid, key, count = uint32(id), k, c
 			}
 		}
 	}
-	return key, score, count, ok
+	return kid, score, count, ok
 }
 
 // extract removes and returns the strongest component of the remaining
@@ -403,11 +415,11 @@ func (a *analysis) extract() (Component, bool) {
 	if a.liveN < a.cfg.MinEvents {
 		return Component{}, false
 	}
-	key, score, count, ok := a.best()
+	kid, score, count, ok := a.best()
 	if !ok || score < a.cfg.MinScore {
 		return Component{}, false
 	}
-	want := decodeKey(key)
+	want := decodeKey(a.in.keyStr[kid])
 
 	// P: prefixes of live events whose sequence contains s', in
 	// first-appearance order.
@@ -442,7 +454,7 @@ func (a *analysis) extract() (Component, bool) {
 	for _, i := range eventIdx {
 		a.alive[i] = false
 		a.liveN--
-		a.addCounts(i, -a.weights[i])
+		addCounts(a.counts, a.ents[i].kids, -a.weights[i])
 	}
 
 	comp := Component{

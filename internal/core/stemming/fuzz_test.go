@@ -13,8 +13,8 @@ import (
 )
 
 // FuzzWindowShardEquivalence is the property behind the parallel
-// analysis engine: for ANY event batch and ANY shard count, the
-// per-shard count tables and per-prefix event lists must merge to
+// analysis engine: for ANY event batch and ANY shard count, the count
+// table and the merged per-shard per-prefix event lists must equal
 // exactly what a single-sharded window computes over the same batch.
 // Inputs are text-codec lines (seeded from the event codec fuzz corpus)
 // plus a synthetic tail of byte-derived events — random peers, prefixes
@@ -67,15 +67,33 @@ func FuzzWindowShardEquivalence(f *testing.F) {
 	})
 }
 
-// mergedCounts settles a window and merges every shard's count table,
-// exactly as Snapshot does internally.
+// mergedCounts returns a window's count table keyed by decoded token
+// content (see decodedCounts). The table is updated inline by Add and
+// EvictBefore, so unlike the per-prefix lists it needs no settle.
 func mergedCounts(w *Window) map[string]float64 {
-	w.settle()
-	dst := make(map[string]float64)
-	for _, sh := range w.shards {
-		sh.mergeCounts(dst)
+	return decodedCounts(w.in, w.counts)
+}
+
+// decodedCounts renders a dense count table keyed by token content, so
+// tables built by different interners (a window's and a batch run's
+// assign IDs in different orders) compare directly. Zero entries — keys
+// whose events have all left — are omitted.
+func decodedCounts(in *interner, counts []float64) map[string]float64 {
+	out := make(map[string]float64)
+	for id, c := range counts {
+		if c == 0 {
+			continue
+		}
+		var b strings.Builder
+		for i, tok := range decodeKey(in.keyStr[id]) {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(in.token(tok).String())
+		}
+		out[b.String()] = c
 	}
-	return dst
+	return out
 }
 
 // mergedEvents settles a window and merges the per-prefix live lists.

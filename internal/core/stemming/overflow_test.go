@@ -8,22 +8,27 @@ import (
 // TestInternIdxBoundary pins the intern-table bound: the last index that
 // fits in the 30-bit field is handed out, the first that would bleed
 // into the kind bits panics with context instead of silently corrupting
-// packed IDs (the pre-fix behaviour).
+// packed IDs (the pre-fix behaviour). The sub-sequence table shares the
+// bound: its dense IDs index a count table and are never recycled.
 func TestInternIdxBoundary(t *testing.T) {
-	if got := internIdx(maxInternEntries-1, "peer"); got != maxInternEntries-1 {
-		t.Fatalf("internIdx at boundary = %d, want %d", got, maxInternEntries-1)
+	for _, what := range []string{"peer", "sub-sequence"} {
+		t.Run(what, func(t *testing.T) {
+			if got := internIdx(maxInternEntries-1, what); got != maxInternEntries-1 {
+				t.Fatalf("internIdx at boundary = %d, want %d", got, maxInternEntries-1)
+			}
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("internIdx past 2^30 entries did not panic")
+				}
+				msg, ok := r.(string)
+				if !ok || !strings.Contains(msg, what+" intern table full") {
+					t.Fatalf("panic without context: %v", r)
+				}
+			}()
+			internIdx(maxInternEntries, what)
+		})
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("internIdx past 2^30 entries did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "peer intern table full") {
-			t.Fatalf("panic without context: %v", r)
-		}
-	}()
-	internIdx(maxInternEntries, "peer")
 }
 
 // TestPackIDBoundaryRoundTrip: at the largest legal index every kind

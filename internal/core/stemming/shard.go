@@ -1,21 +1,18 @@
 package stemming
 
-// The sliding window's mergeable per-shard count structure. Each shard
-// owns the ±weight sub-sequence count table and the per-prefix live
-// event lists for the prefixes hashed to it. Because prefixes partition
-// across shards, shard tables never share a key owner: counts merge
-// into a combined table by plain summation and the per-prefix event
-// lists merge by disjoint union — the properties the parallel analysis
-// engine's determinism rests on (DESIGN.md §10).
+// The sliding window's per-shard event lists. Each shard owns the
+// per-prefix live event lists for the prefixes hashed to it. Because
+// prefixes partition across shards, the lists merge into the combined
+// per-prefix index by disjoint union. Sub-sequence counts are not
+// sharded: the Window keeps them in one table, updated in arrival order
+// (DESIGN.md §10).
 
-// countOp is one buffered shard operation. Ops reference the interned
-// sequence entry (which owns the seq, raw bytes, prefix ID and cached
-// sub-sequence keys) so a ring slot can be reused before its eviction
-// settles, and applying the op allocates nothing.
+// countOp is one buffered shard operation: event id joins (or, on
+// evict, leaves) prefix pid's live list. Applying an op allocates
+// nothing once the list has reached its high-water mark.
 type countOp struct {
 	id    uint64
-	ent   *seqEntry
-	w     float64
+	pid   uint32
 	evict bool
 }
 
@@ -31,30 +28,24 @@ type idList struct {
 	head int
 }
 
-// countShard owns the counts for the prefixes hashed to it.
+// countShard owns the live event lists of the prefixes hashed to it.
 type countShard struct {
-	counts   map[string]float64
 	byPrefix map[uint32]*idList // live event IDs per prefix, arrival order
 	pending  []countOp
 }
 
 func newCountShard() *countShard {
-	return &countShard{
-		counts:   make(map[string]float64, 1024),
-		byPrefix: make(map[uint32]*idList, 64),
-	}
+	return &countShard{byPrefix: make(map[uint32]*idList, 64)}
 }
 
 // apply replays the shard's buffered ops in order.
 func (sh *countShard) apply() {
 	for _, op := range sh.pending {
-		addSubseqKeys(sh.counts, op.ent.keys, op.w)
-		pid := op.ent.pid
-		l := sh.byPrefix[pid]
+		l := sh.byPrefix[op.pid]
 		if !op.evict {
 			if l == nil {
 				l = &idList{}
-				sh.byPrefix[pid] = l
+				sh.byPrefix[op.pid] = l
 			}
 			l.ids = append(l.ids, op.id)
 			continue
@@ -83,15 +74,6 @@ func (sh *countShard) apply() {
 		}
 	}
 	sh.pending = sh.pending[:0]
-}
-
-// mergeCounts sums the shard's settled count table into dst. Safe to
-// call for every shard against one destination: shards count disjoint
-// event sets, so summation is the exact combined table.
-func (sh *countShard) mergeCounts(dst map[string]float64) {
-	for k, c := range sh.counts {
-		dst[k] += c
-	}
 }
 
 // mergeEvents copies the shard's live event lists into dst, rebasing

@@ -9,20 +9,21 @@ import (
 	"rex/internal/event"
 )
 
-// Window maintains the Stemming count tables over a sliding set of
+// Window maintains the Stemming count table over a sliding set of
 // events, so a live feed can be decomposed repeatedly without re-counting
 // the whole window each time. Events enter with Add and leave in arrival
 // (FIFO) order with EvictBefore; both directions reuse the batch
 // analysis' count arithmetic — eviction is an add with negative weight.
 //
-// Sub-sequence counting is sharded by a content hash of the event's
-// prefix (see ShardFor): every event of one prefix lands in the same
-// shard, so each shard owns a
-// disjoint slice of the per-prefix event lists and the count tables merge
-// by plain summation at snapshot time. Adds and evictions are buffered
-// and settled in batches — by default one goroutine per shard, or on the
-// caller's worker pool via Runner — which is what lets window turnover
-// on ISP-scale streams use every core.
+// Sub-sequence counts live in one table indexed by dense sub-sequence
+// ID, updated inline in arrival order, so they do not depend on the
+// shard count and a snapshot starts from a plain copy of the table. The
+// per-prefix live event lists are sharded by a content hash of the
+// event's prefix (see ShardFor): every event of one prefix lands in the
+// same shard, so each shard owns a disjoint slice of the lists and they
+// merge by union at snapshot time. List updates are buffered and
+// settled in batches — by default one goroutine per shard, or on the
+// caller's worker pool via Runner.
 //
 // A Window is NOT safe for concurrent use: one goroutine calls Add,
 // EvictBefore and Snapshot. The parallelism is internal.
@@ -31,8 +32,12 @@ type Window struct {
 	in     *interner
 	shards []*countShard
 
+	// counts is the sub-sequence count table, indexed by the interner's
+	// dense key IDs. It grows as new keys are interned.
+	counts []float64
+
 	// OnSettle, when set, observes each batch settle: the wall-clock
-	// time the parallel shard apply took and how many buffered ops it
+	// time the shard list apply took and how many buffered ops it
 	// drained. Set it before the first Add (the pipeline points it at a
 	// latency histogram); nil costs nothing.
 	OnSettle func(elapsed time.Duration, ops int)
@@ -128,7 +133,7 @@ func shardOfPrefix(p netip.Prefix, n int) int {
 }
 
 // Add appends one event to the window and returns the index of the
-// count shard it was routed to.
+// shard its prefix was routed to.
 func (w *Window) Add(e event.Event) int {
 	ent := w.in.seqFor(&e)
 	weight := 1.0
@@ -146,8 +151,12 @@ func (w *Window) Add(e event.Event) int {
 	w.nextID++
 	shard := shardOfPrefix(e.Prefix, len(w.shards))
 	w.ring[id%uint64(len(w.ring))] = winEvent{ev: e, ent: ent, shard: shard, w: weight}
+	if n := len(w.in.keyStr); n > len(w.counts) {
+		w.counts = append(w.counts, make([]float64, n-len(w.counts))...)
+	}
+	addCounts(w.counts, ent.kids, weight)
 	sh := w.shards[shard]
-	sh.pending = append(sh.pending, countOp{id: id, ent: ent, w: weight})
+	sh.pending = append(sh.pending, countOp{id: id, pid: ent.pid})
 	w.pendingOps++
 	if w.pendingOps >= w.settleBatch {
 		w.settle()
@@ -170,8 +179,9 @@ func (w *Window) EvictBefore(cutoff time.Time) int {
 		if !we.ev.Time.Before(cutoff) {
 			break
 		}
+		addCounts(w.counts, we.ent.kids, -we.w)
 		sh := w.shards[we.shard]
-		sh.pending = append(sh.pending, countOp{id: w.headID, ent: we.ent, w: -we.w, evict: true})
+		sh.pending = append(sh.pending, countOp{id: w.headID, pid: we.ent.pid, evict: true})
 		w.pendingOps++
 		*we = winEvent{} // drop references so evicted attrs can be collected
 		w.headID++
@@ -193,8 +203,8 @@ func (w *Window) grow() {
 	w.ring = bigger
 }
 
-// settle drains every shard's buffered ops into its count tables, in
-// parallel when more than one shard has work.
+// settle drains every shard's buffered ops into its per-prefix lists,
+// in parallel when more than one shard has work.
 func (w *Window) settle() {
 	if w.pendingOps == 0 {
 		return
@@ -275,7 +285,7 @@ func (w *Window) TimeRange() (first, last time.Time, ok bool) {
 // strongest first — the same result Analyze would produce on the slice
 // Events() returns, computed from the incrementally maintained tables.
 // The window itself is not modified; Add/Evict may continue afterwards.
-// The analysis scratch (per-event slices, the merged count table and the
+// The analysis scratch (per-event slices, the count table copy and the
 // per-prefix index lists) is owned by the window and reused across
 // calls, so a steady-state snapshot allocates only its result.
 func (w *Window) Snapshot() []Component {
@@ -296,11 +306,11 @@ func (w *Window) Snapshot() []Component {
 		a.weights[i] = we.w
 		a.alive[i] = true
 	}
-	// Merge: each prefix lives in exactly one shard, so the per-prefix
-	// lists never collide and counts merge by summation. The extraction
-	// loop mutates its copy; the shard tables stay authoritative.
+	// The extraction loop decrements its copy of the count table; the
+	// window's stays authoritative. Each prefix lives in exactly one
+	// shard, so the per-prefix lists never collide.
+	a.counts = append(a.counts[:0], w.counts...)
 	for _, sh := range w.shards {
-		sh.mergeCounts(a.counts)
 		a.idxArena = sh.mergeEvents(a.eventsByPrefix, w.headID, a.idxArena)
 	}
 	var out []Component

@@ -105,6 +105,51 @@ func TestWindowSlidingEquivalence(t *testing.T) {
 	}
 }
 
+// TestWindowCountsMatchBatch: after seeded adds and irregular evictions,
+// the window's incrementally maintained count table, decoded to token
+// content, equals the table a batch analysis counts from scratch over
+// the live events — exactly, key for key. Checked at 1 and 16 shards,
+// unweighted and with a non-integer Weight. The weights are multiples
+// of 1/4 so every add/evict sum is exact in float64: a mismatch is a
+// counting error, not rounding.
+func TestWindowCountsMatchBatch(t *testing.T) {
+	s := windyStream(1200, 5)
+	weights := []struct {
+		name string
+		fn   func(e *event.Event) float64
+	}{
+		{"unweighted", nil},
+		{"quarter-weights", func(e *event.Event) float64 { return 0.25 * float64(1+e.Prefix.Addr().As4()[1]%7) }},
+	}
+	for _, wt := range weights {
+		for _, shards := range []int{1, 16} {
+			t.Run(fmt.Sprintf("%s/shards=%d", wt.name, shards), func(t *testing.T) {
+				cfg := Config{Weight: wt.fn}
+				w := NewWindow(cfg, shards)
+				w.settleBatch = 97
+				rng := rand.New(rand.NewSource(int64(shards)))
+				for i, e := range s {
+					w.Add(e)
+					if rng.Intn(8) == 0 {
+						w.EvictBefore(e.Time.Add(-time.Duration(100+rng.Intn(400)) * time.Second))
+					}
+					if i%300 != 299 {
+						continue
+					}
+					batch := newAnalysis(w.Events(), cfg.withDefaults())
+					got, want := decodedCounts(w.in, w.counts), decodedCounts(batch.in, batch.counts)
+					if len(want) == 0 {
+						t.Fatal("batch table is empty: nothing compared")
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d (%d live): window table has %d keys, batch %d, or counts differ", i, w.Len(), len(got), len(want))
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestWindowShardCountInvariance: the decomposition must not depend on
 // how counting is sharded.
 func TestWindowShardCountInvariance(t *testing.T) {
