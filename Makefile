@@ -27,7 +27,7 @@ fuzz-seed:
 	$(GO) test ./internal/bgp ./internal/mrt ./internal/event ./internal/journal ./internal/relay ./internal/core/stemming ./internal/serve -run Fuzz -count=1
 
 # The hottest concurrent paths, twice, under the race detector: session
-# handling, the dial loop, the sharded streaming window, the parallel
+# handling, the dial loop, the streaming window, the parallel
 # analysis engine (pipeline worker pool + TAMP shard merge), the
 # journal's crash harness (SIGKILL + torn-tail recovery), and rexd,
 # whose intake drainer appends to the journal store while the main loop

@@ -23,7 +23,7 @@
 // With -metrics-addr the daemon serves its internals over HTTP:
 // /metrics (Prometheus text), /metrics.json, /healthz, and
 // /debug/pprof — session lifecycle counters, per-peer message/byte
-// gauges, window and settle-latency metrics, and MRT ingestion skip
+// gauges, window and snapshot-latency metrics, and MRT ingestion skip
 // counters (see DESIGN.md, "Observability"). Lifecycle logging is the
 // structured key=value form from internal/obs, filtered by -log-level.
 //

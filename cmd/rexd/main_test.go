@@ -186,7 +186,7 @@ func TestMetricsDuringFaultyRun(t *testing.T) {
 		`rex_peermanager_flaps_total`,
 		`rex_collector_session_events_total{kind="session-up"}`,
 		`rex_peermanager_transitions_total{phase="established"}`,
-		`# TYPE rex_pipeline_settle_seconds histogram`,
+		`# TYPE rex_pipeline_snapshot_seconds histogram`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

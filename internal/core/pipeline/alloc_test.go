@@ -12,7 +12,7 @@ import (
 // TestProcessSteadyStateAllocs pins the ingest side of the allocation
 // diet: once the window's sequences are interned and the TAMP shadow has
 // seen every (router, prefix) route, processing one more event — window
-// add + evict + settle, router-name lookup, RIB shadow and graph update
+// add + evict, router-name lookup, RIB shadow and graph update
 // — stays within a few allocations per event (the AS-path slice a fresh
 // RouteEntry owns is the irreducible part). A regression back to
 // per-event string rendering or per-tick scratch rebuilds trips this

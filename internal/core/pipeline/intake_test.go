@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"net/netip"
-	"sync"
 	"testing"
 	"time"
 
@@ -43,39 +42,11 @@ func drainAndClose(p *Pipeline) {
 	<-done
 }
 
-// TestIngestShedDoesNotBlock is the regression test for the
-// full-buffer stall: with the consumer wedged, a producer running in
-// shed mode must finish promptly no matter how many events it pushes.
-// Under the old behaviour — every ingest blocking on the events
-// channel — the producer wedges behind the stalled run loop and this
-// test times out and fails.
-func TestIngestShedDoesNotBlock(t *testing.T) {
-	p := stalledPipeline()
-	defer drainAndClose(p)
-
-	before := mShed.Value()
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for i := 0; i < 10000; i++ {
-			p.TryIngest(intakeEvent(i))
-		}
-	}()
-	select {
-	case <-finished:
-	case <-time.After(5 * time.Second):
-		t.Fatal("shed-mode producer blocked behind a stalled consumer (old Ingest behaviour)")
-	}
-	if shed := mShed.Value() - before; shed == 0 {
-		t.Fatal("stalled consumer with a full buffer shed nothing — the producer must have been blocking")
-	}
-}
-
-// TestIngestBlockingBaseline documents the hazard the shed mode
-// exists for: the same producer using blocking Ingest does NOT finish
-// while the consumer is stalled. This is the control for the
-// regression test above — if this starts passing, the pipeline's
-// blocking semantics changed and the Intake policies need rethinking.
+// TestIngestBlockingBaseline documents the hazard the shed policy
+// exists for: a producer using blocking Ingest does NOT finish while
+// the consumer is stalled. This is the control for the Intake's shed
+// tests — if this starts passing, the pipeline's blocking semantics
+// changed and the Intake policies need rethinking.
 func TestIngestBlockingBaseline(t *testing.T) {
 	p := stalledPipeline()
 	defer drainAndClose(p)
@@ -93,33 +64,6 @@ func TestIngestBlockingBaseline(t *testing.T) {
 	case <-time.After(300 * time.Millisecond):
 		// Wedged, as documented. drainAndClose unwedges it; the producer
 		// drains into the closed pipeline and exits.
-	}
-}
-
-func TestTryIngestDelivers(t *testing.T) {
-	p := New(Config{SpikeK: -1})
-	var got int
-	var mu sync.Mutex
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for s := range p.Snapshots() {
-			if s.Trigger == TriggerFinal {
-				mu.Lock()
-				got = s.Events
-				mu.Unlock()
-			}
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		if !p.TryIngest(intakeEvent(i)) {
-			t.Fatalf("event %d shed with an empty pipeline", i)
-		}
-	}
-	p.Close()
-	<-done
-	if got != 50 {
-		t.Fatalf("final window held %d events, want 50", got)
 	}
 }
 

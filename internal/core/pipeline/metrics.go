@@ -2,11 +2,9 @@ package pipeline
 
 import "rex/internal/obs"
 
-// Streaming-engine metrics. The settle histogram is fed by the
-// stemming.Window.OnSettle hook — it times the batched settles of the
-// window's per-prefix event lists — and the
-// snapshot histogram times full decomposition+picture assembly, the
-// operation whose latency bounds how fresh a spike report can be.
+// Streaming-engine metrics. The snapshot histogram times full
+// decomposition+picture assembly, the operation whose latency bounds
+// how fresh a spike report can be.
 var (
 	mEvents = obs.NewCounter("rex_pipeline_events_total",
 		"Events ingested by the streaming pipeline.")
@@ -18,18 +16,14 @@ var (
 		"Analysis snapshots emitted, by trigger (tick, spike, final).")
 	mSpikes = obs.NewCounter("rex_pipeline_spikes_total",
 		"Rate spikes detected (median + k*MAD crossings reported once each).")
-	mSettleSeconds = obs.NewHistogram("rex_pipeline_settle_seconds",
-		"Latency of sliding-window per-prefix event-list settle batches (sub-sequence counts update inline and are not timed here).", nil)
 	mSnapshotSeconds = obs.NewHistogram("rex_pipeline_snapshot_seconds",
 		"Latency of full snapshot assembly (decomposition + TAMP picture).", nil)
-	mShed = obs.NewCounter("rex_pipeline_shed_total",
-		"Events shed by TryIngest because the ingest buffer was full.")
 	mSeeded = obs.NewCounter("rex_pipeline_seeded_total",
 		"Checkpoint seed events applied to table state during recovery.")
 	mSeedStale = obs.NewCounter("rex_pipeline_seed_stale_total",
 		"Checkpoint seeds dropped because a live event already touched the route key during recovery.")
 	mShards = obs.NewGauge("rex_shard_count",
-		"Prefix shards partitioning the analysis state (Stemming event lists and TAMP shadow).")
+		"Prefix shards partitioning the TAMP shadow.")
 	mShardRouteOps = obs.NewCounter("rex_shard_route_ops_total",
 		"Routing changes routed to prefix-sharded TAMP shadows.")
 	mShardFlushes = obs.NewCounter("rex_shard_flushes_total",
@@ -37,7 +31,7 @@ var (
 	mWorkers = obs.NewGauge("rex_worker_count",
 		"Worker goroutines executing shard work (1 = inline sequential path).")
 	mWorkerTasks = obs.NewCounter("rex_worker_tasks_total",
-		"Tasks submitted to the analysis worker pool (shard batches and window settles).")
+		"Tasks submitted to the analysis worker pool (shard batches).")
 	mIntakeOffered = obs.NewCounter("rex_intake_offered_total",
 		"Events offered to the intake queue by collector sessions.")
 	mIntakeShed = obs.NewCounter("rex_intake_shed_total",

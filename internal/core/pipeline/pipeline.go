@@ -9,13 +9,14 @@
 // decomposition of exactly the last Window of routing activity plus a
 // pruned picture of the routing state at that instant.
 //
-// Per-prefix analysis state is sharded by prefix: event i's prefix picks
-// both its Stemming event-list shard and its TAMP sub-graph, so the
-// shards partition the prefix space and merge deterministically at
-// snapshot time (DESIGN.md §10). Stemming's sub-sequence counts are one
-// unsharded table. Workers controls only how many
-// goroutines execute shard work — the shard layout, and therefore every
-// snapshot byte, is identical at any worker count.
+// The TAMP routing state is sharded by prefix: event i's prefix picks
+// its TAMP sub-graph, so the shards partition the prefix space and
+// merge deterministically at snapshot time (DESIGN.md §10). The
+// Stemming window is not sharded: its sub-sequence counts and its
+// per-prefix index are single tables the run loop updates inline.
+// Workers controls only how many goroutines execute TAMP shard work —
+// the shard layout, and therefore every snapshot byte, is identical at
+// any worker count.
 package pipeline
 
 import (
@@ -101,16 +102,16 @@ type Config struct {
 	Site string
 	// Prune controls Picture pruning.
 	Prune tamp.PruneOptions
-	// Shards is the prefix-shard parallelism of the analysis state — the
-	// Stemming per-prefix event lists and the TAMP shadow are both
-	// partitioned by a prefix hash modulo Shards (0 = DefaultShards).
-	// Results depend on the shard count only through the per-shard
-	// MaxEver rule, never on Workers.
+	// Shards is the prefix-shard parallelism of the TAMP shadow, which
+	// is partitioned by a prefix hash modulo Shards (0 = DefaultShards).
+	// The Stemming window is not sharded. Results depend on the shard
+	// count only through the per-shard MaxEver rule, never on Workers.
 	Shards int
-	// Workers is how many goroutines execute shard work. 0 or 1 runs
-	// everything inline on the run loop (the sequential path); higher
-	// values start a worker pool with static shard ownership. Capped at
-	// Shards. Snapshots are byte-identical at any Workers value.
+	// Workers is how many goroutines execute TAMP shard work. 0 or 1
+	// runs everything inline on the run loop (the sequential path);
+	// higher values start a worker pool with static shard ownership.
+	// Capped at Shards. Snapshots are byte-identical at any Workers
+	// value.
 	Workers int
 	// IncludeEvents copies the window contents into each Snapshot.
 	IncludeEvents bool
@@ -199,8 +200,8 @@ func New(cfg Config) *Pipeline {
 // block propagates backwards: when the caller is a collector session
 // goroutine, a stalled snapshot consumer can wedge the BGP read loop
 // until the peer's hold timer expires and the session flaps. Callers
-// on a session-critical path must use TryIngest (or an Intake with a
-// non-blocking policy) instead. After Close the event is dropped;
+// on a session-critical path must feed through an Intake with the shed
+// policy instead. After Close the event is dropped;
 // Ingest never blocks forever on a stopped pipeline.
 func (p *Pipeline) Ingest(e event.Event) {
 	select {
@@ -222,24 +223,6 @@ func (p *Pipeline) IngestBatch(batch []event.Event) {
 	select {
 	case p.events <- msg{batch: batch}:
 	case <-p.quit:
-	}
-}
-
-// TryIngest feeds one event without ever blocking: when the buffer is
-// full the event is shed — counted in rex_pipeline_shed_total and
-// reported by the false return — so analysis latency can never
-// back-pressure the caller. The analysis window under-counts by
-// exactly the shed events; the journal, written upstream of this
-// call, still has them.
-func (p *Pipeline) TryIngest(e event.Event) bool {
-	select {
-	case p.events <- msg{e: e}:
-		return true
-	case <-p.quit:
-		return true // stopped: drop silently, same as Ingest
-	default:
-		mShed.Inc()
-		return false
 	}
 }
 
@@ -405,24 +388,6 @@ func (p *Pipeline) run() {
 	if p.cfg.Workers > 1 {
 		st.pool = newPool(p.cfg.Workers)
 		defer st.pool.close()
-		// Window settles ride the same pool: distinct tasks touch
-		// distinct event-list shards, and the Runner contract waits for all
-		// of them, so the coordinator's view stays race-free.
-		st.win.Runner = func(n int, run func(i int)) {
-			var wg sync.WaitGroup
-			wg.Add(n)
-			for i := 0; i < n; i++ {
-				i := i
-				st.pool.submit(i%st.pool.workers, func() {
-					run(i)
-					wg.Done()
-				})
-			}
-			wg.Wait()
-		}
-	}
-	st.win.OnSettle = func(elapsed time.Duration, _ int) {
-		mSettleSeconds.Observe(elapsed.Seconds())
 	}
 	for {
 		select {
@@ -770,7 +735,7 @@ func (st *state) fire(trig Trigger, sp *event.Spike) {
 }
 
 // snapshot assembles the full analysis of the current window. The
-// barrier first settles all shard state; the picture is then the
+// barrier first settles all TAMP shard state; the picture is then the
 // deterministic merge of the per-shard sub-graphs — a pure function of
 // each shard's op sequence, which the coordinator fixed in stream order.
 func (st *state) snapshot(trig Trigger, sp *event.Spike) Snapshot {

@@ -50,7 +50,7 @@ func finalSnapshot(t *testing.T, p *Pipeline) Snapshot {
 }
 
 // TestSeedAfterLiveEventIsStale is the fail-on-old-behavior regression
-// test for the Seed/TryIngest ordering hazard: during recovery, journal
+// test for the Seed/Ingest ordering hazard: during recovery, journal
 // tail replay and live sessions feed the pipeline concurrently with
 // checkpoint seeding, so a seed can arrive AFTER a live event for the
 // same route key. The checkpoint state is older by construction — under

@@ -6,7 +6,7 @@ import (
 )
 
 // TestWindowSteadyStateAllocs pins the allocation diet: once every
-// distinct sequence has been interned, the add→evict→settle turnover
+// distinct sequence has been interned, the add→evict turnover
 // path allocates (amortized) nothing, and a Snapshot allocates only its
 // result — never O(window) scratch. The bounds are deliberately tight;
 // if a change regresses the hot path back to per-event or per-tick
@@ -17,7 +17,6 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 	}
 	events := windyStream(256, 11)
 	w := NewWindow(Config{}, 4)
-	w.settleBatch = 64
 	const window = 128 * time.Second
 	i := 0
 	add := func() {
@@ -28,12 +27,12 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 		i++
 	}
 	// Warm up: intern every distinct sequence, reach steady turnover,
-	// and let the ring and shard buffers hit their high-water marks.
+	// and let the ring and per-prefix lists hit their high-water marks.
 	for n := 0; n < 2048; n++ {
 		add()
 	}
 	if avg := testing.AllocsPerRun(2000, add); avg > 0.05 {
-		t.Errorf("steady-state add+evict+settle allocates %.3f/op, want ~0", avg)
+		t.Errorf("steady-state add+evict allocates %.3f/op, want ~0", avg)
 	}
 
 	w.Snapshot() // warm the reused snapshot scratch

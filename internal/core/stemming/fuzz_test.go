@@ -12,15 +12,16 @@ import (
 	"rex/internal/event"
 )
 
-// FuzzWindowShardEquivalence is the property behind the parallel
-// analysis engine: for ANY event batch and ANY shard count, the count
-// table and the merged per-shard per-prefix event lists must equal
-// exactly what a single-sharded window computes over the same batch.
-// Inputs are text-codec lines (seeded from the event codec fuzz corpus)
-// plus a synthetic tail of byte-derived events — random peers, prefixes
-// and announce/withdraw mixes — so the property is exercised even when
-// mutation breaks every line.
-func FuzzWindowShardEquivalence(f *testing.F) {
+// FuzzWindowMatchesBatch is the property behind the sliding window:
+// for ANY event batch and ANY mid-batch eviction, the window's
+// incrementally maintained tables — the count table and the per-prefix
+// index — equal exactly what a batch analysis builds from scratch over
+// the live events, and so does the decomposition. Inputs are text-codec
+// lines (seeded from the event codec fuzz corpus) plus a synthetic tail
+// of byte-derived events — random peers, prefixes and announce/withdraw
+// mixes — so the property is exercised even when mutation breaks every
+// line.
+func FuzzWindowMatchesBatch(f *testing.F) {
 	seeds := []string{
 		`W 2003-08-01T10:00:00.000000Z 128.32.1.3 NEXT_HOP 128.32.0.70 ASPATH "11423 209 701" LP 80 MED 10 COMM 11423:65350,11423:65300 PREFIX 192.96.10.0/24`,
 		`A 2003-08-01T10:00:00.000000Z 10.0.0.1 ASPATH "1" COMM 0:0,65535:65535,0:0 PREFIX 10.0.0.0/8`,
@@ -31,47 +32,75 @@ func FuzzWindowShardEquivalence(f *testing.F) {
 		`A 2003-08-01T10:00:00.000000Z 10.0.0.1 ASPATH "11423 {7018 1239} 701" PREFIX 10.0.0.0/8`,
 		`A 2003-08-01T10:00:00.000000Z fe80::1%eth0 NEXT_HOP 2001:db8::1 ASPATH "1 2" PREFIX 2001:db8::/32`,
 	}
-	f.Add(strings.Join(seeds, "\n"), uint8(4), uint8(0))
-	f.Add(strings.Join(seeds, "\n"), uint8(2), uint8(128))
-	f.Add(seeds[0]+"\n"+seeds[5], uint8(7), uint8(255))
-	f.Fuzz(func(t *testing.T, data string, shardByte, evictByte uint8) {
+	f.Add(strings.Join(seeds, "\n"), uint8(0), false)
+	f.Add(strings.Join(seeds, "\n"), uint8(128), false)
+	f.Add(seeds[0]+"\n"+seeds[5], uint8(255), false)
+	// Mass eviction: the mid-batch cut empties the whole window, and the
+	// second half of the batch refills the emptied per-prefix lists.
+	f.Add(strings.Join(seeds, "\n"), uint8(0), true)
+	f.Fuzz(func(t *testing.T, data string, evictByte uint8, evictAll bool) {
 		events := fuzzBatch(data)
 		if len(events) == 0 {
 			return
 		}
-		shards := 2 + int(shardByte%7) // 2..8
-
-		single := NewWindow(Config{}, 1)
-		sharded := NewWindow(Config{}, shards)
+		w := NewWindow(Config{}, 1)
+		var latest time.Time
 		for i, e := range events {
-			single.Add(e)
-			sharded.Add(e)
-			// Mid-batch eviction, at the same point in both windows, so
-			// the negative-weight path is part of the property too.
-			if evictByte > 0 && i == len(events)/2 {
-				cut := e.Time.Add(-time.Duration(evictByte) * time.Second)
-				single.EvictBefore(cut)
-				sharded.EvictBefore(cut)
+			w.Add(e)
+			if e.Time.After(latest) {
+				latest = e.Time
+			}
+			if i != len(events)/2 {
+				continue
+			}
+			// Mid-batch eviction, so the negative-weight path and the
+			// index pops are part of the property too.
+			switch {
+			case evictAll:
+				if w.EvictBefore(latest.Add(time.Nanosecond)); w.Len() != 0 {
+					t.Fatalf("evicting past the newest event left %d events", w.Len())
+				}
+			case evictByte > 0:
+				w.EvictBefore(e.Time.Add(-time.Duration(evictByte) * time.Second))
 			}
 		}
 
-		if got, want := mergedCounts(sharded), mergedCounts(single); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: merged counts diverge from sequential\n got %d keys, want %d keys", shards, len(got), len(want))
+		live := w.Events()
+		batch := newAnalysis(live, w.cfg)
+		if got, want := decodedCounts(w.in, w.counts), decodedCounts(batch.in, batch.counts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("count table diverges from batch\n got %v\nwant %v", got, want)
 		}
-		if got, want := mergedEvents(sharded), mergedEvents(single); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: merged per-prefix event lists diverge\n got %v\nwant %v", shards, got, want)
+		if got, want := prefixIndex(w.in, windowIndex(w)), prefixIndex(batch.in, batch.eventsByPrefix); !reflect.DeepEqual(got, want) {
+			t.Fatalf("per-prefix index diverges from batch\n got %v\nwant %v", got, want)
 		}
-		if got, want := sharded.Snapshot(), single.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: components diverge\n got %+v\nwant %+v", shards, got, want)
+		if got, want := w.Snapshot(), Analyze(live, w.cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("components diverge from batch\n got %+v\nwant %+v", got, want)
 		}
 	})
 }
 
-// mergedCounts returns a window's count table keyed by decoded token
-// content (see decodedCounts). The table is updated inline by Add and
-// EvictBefore, so unlike the per-prefix lists it needs no settle.
-func mergedCounts(w *Window) map[string]float64 {
-	return decodedCounts(w.in, w.counts)
+// windowIndex returns a window's per-prefix index as a batch analysis
+// holds it: window positions keyed by prefix ID.
+func windowIndex(w *Window) map[uint32][]int {
+	out := make(map[uint32][]int)
+	for pi := range w.lists {
+		for _, id := range w.lists[pi].Items() {
+			pid := packID(KindPrefix, uint32(pi))
+			out[pid] = append(out[pid], int(id-w.headID))
+		}
+	}
+	return out
+}
+
+// prefixIndex keys a per-prefix index by prefix content, so indexes
+// built by different interners compare directly.
+func prefixIndex(in *interner, byPID map[uint32][]int) map[netip.Prefix][]int {
+	out := make(map[netip.Prefix][]int, len(byPID))
+	for pid, idxs := range byPID {
+		_, pi := unpackID(pid)
+		out[in.pfxs[pi]] = idxs
+	}
+	return out
 }
 
 // decodedCounts renders a dense count table keyed by token content, so
@@ -94,16 +123,6 @@ func decodedCounts(in *interner, counts []float64) map[string]float64 {
 		out[b.String()] = c
 	}
 	return out
-}
-
-// mergedEvents settles a window and merges the per-prefix live lists.
-func mergedEvents(w *Window) map[uint32][]int {
-	w.settle()
-	dst := make(map[uint32][]int)
-	for _, sh := range w.shards {
-		sh.mergeEvents(dst, w.headID, nil)
-	}
-	return dst
 }
 
 // fuzzBatch turns fuzz input into an event batch: every line that the

@@ -68,13 +68,12 @@ func TestWindowMatchesBatchNoEviction(t *testing.T) {
 // time window across a long stream — evicting incrementally, snapshotting
 // repeatedly — and at every step the snapshot must equal batch Analyze on
 // exactly the live window contents. Exercises ring growth (window holds
-// more than the initial ring capacity) and small settle batches.
+// more than the initial ring capacity).
 func TestWindowSlidingEquivalence(t *testing.T) {
 	const n = 3000
 	s := windyStream(n, 42)
 	window := 2000 * time.Second // up to 2000 live events: forces ring growth
 	w := NewWindow(Config{}, 4)
-	w.settleBatch = 257 // settle often, mid-batch, to shake out batching bugs
 
 	snapshots := 0
 	for i, e := range s {
@@ -126,7 +125,6 @@ func TestWindowCountsMatchBatch(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", wt.name, shards), func(t *testing.T) {
 				cfg := Config{Weight: wt.fn}
 				w := NewWindow(cfg, shards)
-				w.settleBatch = 97
 				rng := rand.New(rand.NewSource(int64(shards)))
 				for i, e := range s {
 					w.Add(e)
@@ -151,7 +149,7 @@ func TestWindowCountsMatchBatch(t *testing.T) {
 }
 
 // TestWindowShardCountInvariance: the decomposition must not depend on
-// how counting is sharded.
+// the window's shard count, which only keys the TAMP layout.
 func TestWindowShardCountInvariance(t *testing.T) {
 	s := windyStream(800, 7)
 	var base []Component
@@ -196,7 +194,7 @@ func TestWindowFullTurnover(t *testing.T) {
 }
 
 // TestWindowSnapshotNonDestructive: Snapshot twice in a row gives the
-// same answer (the extraction mutates a copy, not the shard tables).
+// same answer (the extraction mutates a copy, not the window's tables).
 func TestWindowSnapshotNonDestructive(t *testing.T) {
 	w := NewWindow(Config{}, 4)
 	for _, e := range windyStream(300, 3) {
@@ -212,36 +210,5 @@ func TestWindowEmpty(t *testing.T) {
 	w := NewWindow(Config{}, 0)
 	if w.Len() != 0 || w.Snapshot() != nil || w.EvictBefore(t0) != 0 {
 		t.Fatal("empty window misbehaves")
-	}
-}
-
-// TestEvictBeforeBoundedPending: a mass eviction — e.g. a recovery
-// replay crossing a window boundary evicts the whole window in one
-// EvictBefore call — must settle incrementally, never buffering more
-// than one settle batch of pending ops. The old code checked the
-// threshold only after the eviction loop, so the run's entire op list
-// piled up first.
-func TestEvictBeforeBoundedPending(t *testing.T) {
-	w := NewWindow(Config{}, 4)
-	w.settleBatch = 64
-	maxOps := 0
-	w.OnSettle = func(_ time.Duration, ops int) {
-		if ops > maxOps {
-			maxOps = ops
-		}
-	}
-	s := windyStream(1000, 7)
-	for _, e := range s {
-		w.Add(e)
-	}
-	evicted := w.EvictBefore(s[len(s)-1].Time.Add(time.Hour))
-	if evicted != len(s) || w.Len() != 0 {
-		t.Fatalf("evicted %d of %d, %d left", evicted, len(s), w.Len())
-	}
-	if maxOps > w.settleBatch {
-		t.Fatalf("a settle drained %d ops, want <= settleBatch (%d)", maxOps, w.settleBatch)
-	}
-	if w.pendingOps >= w.settleBatch {
-		t.Fatalf("%d ops still pending after eviction, want < settleBatch (%d)", w.pendingOps, w.settleBatch)
 	}
 }

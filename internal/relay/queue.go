@@ -6,45 +6,9 @@ import "rex/internal/event"
 // arrived under, kept so the release path can attribute every released
 // event back to its feed cursor (the durable-checkpoint cursor is the
 // sequence after the last *released* event, not the last received one).
+// A feed buffers them in a fifo.Queue, which zeroes released slots so
+// the buffer never pins event attributes past release.
 type queuedEvent struct {
 	seq uint64
 	e   event.Event
-}
-
-// eventQueue is a feed's buffered-event FIFO as a head-trimmed slice:
-// buf[head:] is live. Popping advances head instead of re-slicing the
-// front away — `buf = buf[1:]` strands the freed front capacity forever
-// on a long-lived feed, so every refill of a steady queue reallocates —
-// and the backing array is compacted in place (amortized O(1)) once the
-// dead front outweighs the live tail, the same trade stemming's idList
-// makes. Popped and compacted-over slots are zeroed so the buffer never
-// pins event attributes past release.
-type eventQueue struct {
-	buf  []queuedEvent
-	head int
-}
-
-func (q *eventQueue) len() int { return len(q.buf) - q.head }
-
-// front returns the oldest buffered entry; caller must check len > 0.
-func (q *eventQueue) front() *queuedEvent { return &q.buf[q.head] }
-
-func (q *eventQueue) push(qe queuedEvent) { q.buf = append(q.buf, qe) }
-
-// pop removes and returns the oldest entry.
-func (q *eventQueue) pop() queuedEvent {
-	qe := q.buf[q.head]
-	q.buf[q.head] = queuedEvent{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	} else if q.head > 32 && q.head > len(q.buf)/2 {
-		n := copy(q.buf, q.buf[q.head:])
-		tail := q.buf[n:len(q.buf)]
-		for i := range tail {
-			tail[i] = queuedEvent{}
-		}
-		q.buf, q.head = q.buf[:n], 0
-	}
-	return qe
 }

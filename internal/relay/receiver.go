@@ -9,6 +9,7 @@ import (
 
 	"rex/internal/core/pipeline"
 	"rex/internal/event"
+	"rex/internal/fifo"
 	"rex/internal/journal"
 	"rex/internal/obs"
 )
@@ -143,7 +144,7 @@ type feedState struct {
 	durable   uint64
 	relWM     time.Time
 	lastHeard time.Time // wall clock of last frame
-	queue     eventQueue
+	queue     fifo.Queue[queuedEvent]
 	received  uint64
 	dups      uint64
 	hbNext    uint64 // feed's reported append head
@@ -440,7 +441,7 @@ func (r *Receiver) statusesLocked() []FeedStatus {
 		out = append(out, FeedStatus{
 			ID: id, Connected: f.connected, Stale: f.stale, EverHeard: f.everHeard,
 			NextSeq: f.nextSeq, Durable: durable, Watermark: f.watermark, LastHeard: f.lastHeard,
-			Buffered: f.queue.len(), Received: f.received, Duplicates: f.dups,
+			Buffered: f.queue.Len(), Received: f.received, Duplicates: f.dups,
 		})
 	}
 	return out
@@ -584,7 +585,7 @@ func (r *Receiver) handle(conn net.Conn) {
 			if e.Time.After(f.watermark) {
 				f.watermark = e.Time
 			}
-			f.queue.push(queuedEvent{seq: seq, e: e})
+			f.queue.Push(queuedEvent{seq: seq, e: e})
 			mEventsAccepted.With(id).Inc()
 			mFeedNextSeq.With(id).Set(int64(f.nextSeq))
 			mBuffered.Inc()
@@ -706,10 +707,10 @@ func (r *Receiver) collectLocked(flush bool) []event.Event {
 		var best *feedState
 		for _, id := range r.order {
 			f := r.feeds[id]
-			if f.queue.len() == 0 {
+			if f.queue.Len() == 0 {
 				continue
 			}
-			if best == nil || mergeBefore(f.queue.front().e.Time, f.id, best.queue.front().e.Time, best.id) {
+			if best == nil || mergeBefore(f.queue.Front().e.Time, f.id, best.queue.Front().e.Time, best.id) {
 				best = f
 			}
 		}
@@ -717,11 +718,11 @@ func (r *Receiver) collectLocked(flush bool) []event.Event {
 			break
 		}
 		if !flush {
-			e := &best.queue.front().e
+			e := &best.queue.Front().e
 			blocked := false
 			for _, id := range r.order {
 				g := r.feeds[id]
-				if g == best || g.stale || g.queue.len() > 0 {
+				if g == best || g.stale || g.queue.Len() > 0 {
 					continue
 				}
 				if g.watermark.After(e.Time) {
@@ -737,7 +738,7 @@ func (r *Receiver) collectLocked(flush bool) []event.Event {
 				break
 			}
 		}
-		qe := best.queue.pop()
+		qe := best.queue.Pop()
 		best.released = qe.seq + 1
 		if qe.e.Time.After(best.relWM) {
 			best.relWM = qe.e.Time

@@ -7,6 +7,7 @@ import (
 
 	"rex/internal/core/pipeline"
 	"rex/internal/event"
+	"rex/internal/fifo"
 )
 
 // drainReceiver discards wrapped snapshots until the channel closes, in
@@ -43,47 +44,56 @@ func TestRosterDedupe(t *testing.T) {
 }
 
 // TestEventQueueRetention pins the head-indexed FIFO's allocation
-// behavior: a long-lived feed in steady push/pop churn must not strand
-// released-event capacity (the old `queue = queue[1:]` re-slice walked
-// the backing array forward forever, so every refill reallocated).
+// behavior on a feed's buffer: a long-lived feed in steady push/pop
+// churn must not strand released-event capacity (the old
+// `queue = queue[1:]` re-slice walked the backing array forward
+// forever, so every refill reallocated).
 func TestEventQueueRetention(t *testing.T) {
 	events := fleetParts(t, 1, 64)["feed-00"]
-	var q eventQueue
+	var q fifo.Queue[queuedEvent]
 	// Warm up: fill and drain once so the backing array reaches its
 	// steady size, then compaction keeps reusing it.
 	for i, e := range events {
-		q.push(queuedEvent{seq: uint64(i), e: e})
+		q.Push(queuedEvent{seq: uint64(i), e: e})
 	}
-	for q.len() > 0 {
-		q.pop()
+	for q.Len() > 0 {
+		q.Pop()
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i, e := range events {
-			q.push(queuedEvent{seq: uint64(i), e: e})
-			q.pop()
+			q.Push(queuedEvent{seq: uint64(i), e: e})
+			q.Pop()
 		}
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state push/pop allocates %.1f/run, want 0", allocs)
 	}
-	if cap(q.buf) > 4*len(events) {
-		t.Fatalf("backing array grew to %d for %d-event churn", cap(q.buf), len(events))
+	// Drained, the live view starts at the backing array's front, so its
+	// capacity is the array's.
+	if c := cap(q.Items()); c > 4*len(events) {
+		t.Fatalf("backing array grew to %d for %d-event churn", c, len(events))
 	}
 }
 
 // TestEventQueuePopReleasesReferences: popped slots are zeroed so the
-// buffer never pins event attributes past release.
+// buffer never pins event attributes past release — both the slots
+// Pop frees one by one and those a compaction copies over.
 func TestEventQueuePopReleasesReferences(t *testing.T) {
-	events := fleetParts(t, 1, 8)["feed-00"]
-	var q eventQueue
+	events := fleetParts(t, 1, 80)["feed-00"]
+	var q fifo.Queue[queuedEvent]
 	for i, e := range events {
-		q.push(queuedEvent{seq: uint64(i), e: e})
+		q.Push(queuedEvent{seq: uint64(i), e: e})
 	}
-	q.pop()
-	q.pop()
-	for i := 0; i < q.head; i++ {
-		if q.buf[i].e.Attrs != nil || q.buf[i].e.Prefix.IsValid() {
-			t.Fatalf("popped slot %d still holds event data: %+v", i, q.buf[i].e)
+	// Pop past the compaction point (head > 32 and past half), then
+	// drain: the emptied queue's live view reaches back over every slot
+	// the queue ever used.
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	live := q.Items()
+	for i, qe := range live[:cap(live)] {
+		if qe.e.Attrs != nil || qe.e.Prefix.IsValid() {
+			t.Fatalf("released slot %d still holds event data: %+v", i, qe.e)
 		}
 	}
 }
